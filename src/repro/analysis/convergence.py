@@ -11,12 +11,13 @@ whole ``(R, n)`` batch plus one whole-batch estimator call from
 
 Any object exposing ``advance(steps)`` and an ``(R, n)`` ``config`` batch
 (the :class:`~repro.chains.ensemble.EnsembleTrajectoryMixin` protocol)
-works as a source.  For models with no batched kernel,
-:class:`SequentialChainEnsemble` adapts ``R`` ordinary sequential chains
-behind the same protocol — the old per-chain implementation survives only
-as this generic-model fallback, and every convergence function accepts
-either an ensemble or a legacy ``chain_factory(rng)`` callable (which is
-wrapped in the fallback automatically).
+works as a source.  Every model/method pair of :func:`repro.api.make_ensemble`
+has a batched kernel; :class:`SequentialChainEnsemble` adapts ``R``
+ordinary sequential chains behind the same protocol for everything else —
+a ``chain_factory(rng)`` callable (which every convergence function
+accepts and wraps automatically), the sequential-engine oracle of the
+lower-bound experiments, and the per-chain baselines of the throughput
+benchmarks.
 """
 
 from __future__ import annotations
@@ -44,13 +45,13 @@ __all__ = [
 
 
 class SequentialChainEnsemble(EnsembleTrajectoryMixin):
-    """Generic-model fallback: R sequential chains behind the ensemble protocol.
+    """R sequential chains behind the ensemble protocol.
 
     Wraps ``chain_factory(rng)`` — any callable returning an object with
     ``step()`` and a length-n ``config`` — behind
     :class:`repro.chains.ensemble.EnsembleTrajectoryMixin`, so the
     convergence machinery is written once against ensembles and still
-    covers models with no batched kernel.
+    covers arbitrary chains.
 
     Stream contract: chain ``i`` draws from ``default_rng(root.spawn(R)[i])``
     where ``root`` is the :class:`numpy.random.SeedSequence` built from
@@ -143,13 +144,13 @@ def _as_ensemble(source, n_chains: int | None, seed) -> object:
     """Coerce ``source`` into the ensemble protocol.
 
     A callable is treated as a legacy ``chain_factory(rng)`` and wrapped in
-    the :class:`SequentialChainEnsemble` fallback (requires ``n_chains``);
+    a :class:`SequentialChainEnsemble` (requires ``n_chains``);
     anything else must already expose ``advance``/``config``.
     """
     if callable(source) and not hasattr(source, "advance"):
         if n_chains is None or n_chains < 1:
             raise ConvergenceError(
-                "a chain factory needs n_chains >= 1 to build the fallback ensemble"
+                "a chain factory needs n_chains >= 1 to build its ensemble"
             )
         return SequentialChainEnsemble(source, n_chains, seed=seed)
     if not hasattr(source, "advance") or not hasattr(source, "config"):
@@ -174,8 +175,8 @@ def ensemble_tv_curve(
     source:
         Either a replica ensemble (anything exposing ``advance(steps)`` and
         an ``(R, n)`` ``config`` batch — see :mod:`repro.chains.ensemble`)
-        or a legacy ``chain_factory(rng)`` callable, which is wrapped in the
-        :class:`SequentialChainEnsemble` generic-model fallback.
+        or a legacy ``chain_factory(rng)`` callable, which is wrapped in a
+        :class:`SequentialChainEnsemble`.
     target:
         The exact Gibbs distribution (``q**n`` must be enumerable).
     n_chains:
@@ -186,7 +187,7 @@ def ensemble_tv_curve(
         Strictly increasing positive round counts at which to measure,
         relative to the source's current position.
     seed:
-        Seeds the fallback ensemble; ignored for a prebuilt ensemble.
+        Seeds the chain-factory ensemble; ignored for a prebuilt ensemble.
 
     Returns
     -------

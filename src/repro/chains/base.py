@@ -107,22 +107,41 @@ def greedy_feasible_config(mrf: MRF, rng: np.random.Generator | None = None) -> 
     For proper colourings with ``q >= Delta + 1`` and for occupancy models
     (hardcore, vertex cover) the result is always feasible.
     """
-    config = np.zeros(mrf.n, dtype=np.int64)
-    assigned = np.zeros(mrf.n, dtype=bool)
+    q = mrf.q
+    tables = mrf._edge_activity
+    # Spin sets as Python-int bitmasks: bit c of ``masks[s]`` is set iff
+    # spin c is compatible with a neighbour holding spin s (one list per
+    # distinct edge table), and bit c of ``allowed[v]`` iff b_v(c) > 0.
+    compatible: dict[int, list[int]] = {}
+    allowed = _bitmasks(mrf.vertex_activity > 0)
+    config: list[int] = []
     for v in range(mrf.n):
-        weights = mrf.vertex_activity[v].copy()
+        mask = allowed[v]
         for u in mrf.neighbors(v):
-            if assigned[u]:
-                weights = weights * (mrf.edge_activity(u, v)[:, config[u]] > 0)
-        candidates = np.nonzero(weights > 0)[0]
-        if candidates.size == 0:
-            config[v] = int(np.argmax(mrf.vertex_activity[v]))
-        elif rng is None:
-            config[v] = int(candidates[0])
+            if u >= v:  # sorted: the rest are not yet assigned
+                break
+            table = tables[(u, v)]
+            masks = compatible.get(id(table))
+            if masks is None:
+                masks = compatible[id(table)] = _bitmasks(table.T > 0)
+            mask &= masks[config[u]]
+        if not mask:
+            config.append(int(np.argmax(mrf.vertex_activity[v])))
+        elif rng is None or not mask & (mask - 1):
+            # The smallest candidate; a lone candidate draws no randomness,
+            # just as rng.choice of a one-element array draws none.
+            config.append((mask & -mask).bit_length() - 1)
         else:
-            config[v] = int(rng.choice(candidates))
-        assigned[v] = True
-    return config
+            candidates = [c for c in range(q) if mask >> c & 1]
+            # Consumes the stream exactly as rng.choice(candidates) would.
+            config.append(candidates[rng.integers(len(candidates))])
+    return np.asarray(config, dtype=np.int64)
+
+
+def _bitmasks(flags: np.ndarray) -> list[int]:
+    """Row ``i`` of a boolean ``(k, q)`` array as an int with bit c = ``flags[i, c]``."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in map(bytes, packed)]
 
 
 class Chain(ABC):

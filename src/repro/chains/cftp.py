@@ -29,39 +29,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.errors import (
-    ConvergenceError,
-    InfeasibleStateError,
-    ModelError,
-    StateSpaceTooLargeError,
-)
+from repro.chains.sampling import inverse_cdf_spin as _inverse_cdf_spin
+from repro.errors import ConvergenceError, ModelError, StateSpaceTooLargeError
 from repro.mrf.marginals import conditional_marginal
 from repro.mrf.model import MRF
 
 __all__ = ["MonotoneCFTP", "SmallStateCFTP", "is_monotone_model"]
-
-
-def _inverse_cdf_spin(distribution: np.ndarray, uniform: float) -> int:
-    """Smallest spin whose cumulative conditional mass exceeds ``uniform``.
-
-    When floating-point rounding makes the CDF top out slightly below 1.0,
-    a uniform draw near 1 falls past every spin; the fallback must be the
-    largest spin with *positive* mass — returning the last spin
-    unconditionally could emit a zero-probability spin (e.g. occupying a
-    blocked vertex in a hardcore model), which would make the "exact"
-    CFTP sampler produce infeasible configurations.
-    """
-    cumulative = 0.0
-    for spin, mass in enumerate(distribution):
-        cumulative += mass
-        if uniform < cumulative:
-            return spin
-    for spin in range(len(distribution) - 1, -1, -1):
-        if distribution[spin] > 0.0:
-            return spin
-    raise InfeasibleStateError(
-        "inverse-CDF sampling needs a distribution with positive total mass"
-    )
 
 
 def _glauber_update(

@@ -21,12 +21,12 @@ them with single whole-ensemble array operations:
 * :class:`EnsembleGlauberDynamics` — batched single-site heat-bath Glauber
   for *general* pairwise MRFs (Ising, hardcore, ...), so ensembles are not
   colouring-only;
-* :class:`EnsembleLubyGlauberMRF` — batched Algorithm 1 for general
-  pairwise MRFs (hardcore, Ising, *list* colourings): each replica draws
-  its own Luby independent set and heat-bath-resamples every selected
-  vertex from its exact conditional marginal, with the per-vertex weight
-  products assembled through CSR neighbour gathers and a segmented
-  product over a deduplicated edge-activity stack;
+* :class:`EnsembleLubyGlauberMRF` and :class:`EnsembleLocalMetropolisMRF`
+  — batched Algorithms 1 and 2 for general pairwise MRFs (hardcore,
+  Ising, *list* colourings) on one shared construction: a per-edge index
+  into a deduplicated edge-activity stack feeds both the CSR heat-bath
+  gathers of LubyGlauber and the flat normalised filter tables of
+  LocalMetropolis, so the two engines differ only in ``step()``;
 * :class:`EnsembleLubyGlauberCSP` and :class:`EnsembleLocalMetropolisCSP` —
   the paper's CSP extensions (remarks after Algorithms 1-2) batched over
   replicas: constraint-scope evaluation is precompiled into flat-table
@@ -104,6 +104,7 @@ from repro.chains.fastpaths import (
     greedy_coloring,
     sorted_edge_arrays,
 )
+from repro.chains.sampling import inverse_cdf
 from repro.csp.hypergraph import conflict_graph
 from repro.csp.model import LocalCSP
 from repro.errors import InfeasibleStateError, ModelError, StateSpaceTooLargeError
@@ -118,6 +119,7 @@ __all__ = [
     "EnsembleLubyGlauberColoring",
     "EnsembleGlauberDynamics",
     "EnsembleLubyGlauberMRF",
+    "EnsembleLocalMetropolisMRF",
     "EnsembleLubyGlauberCSP",
     "EnsembleLocalMetropolisCSP",
 ]
@@ -296,6 +298,24 @@ def _as_region(region, n: int) -> np.ndarray:
     return vertices
 
 
+def _side_matrices(edge_u: np.ndarray, edge_v: np.ndarray, n: int):
+    """The one-sided ``(n, m)`` vertex-edge incidence matrices (scipy CSR).
+
+    ``side_u @ flags`` scatters a per-edge ``(m, R)`` flag array onto each
+    edge's u endpoint (``side_v`` likewise); their sum is the full
+    incidence behind "any incident edge failed" reductions.  Sparse matmul
+    is the fastest edge-to-vertex scatter available from numpy land —
+    ``np.logical_or.reduceat`` is ~50x slower on the same data.
+    """
+    m = len(edge_u)
+    ones = np.ones(m, dtype=np.int32)
+    arange = np.arange(m)
+    return (
+        sp.csr_matrix((ones, (edge_u, arange)), shape=(n, m)),
+        sp.csr_matrix((ones, (edge_v, arange)), shape=(n, m)),
+    )
+
+
 class _RegionSelector:
     """Precompiled masked-Luby structures for a vertex region.
 
@@ -322,18 +342,12 @@ class _RegionSelector:
             lev = local_of[edge_v[internal]]
         else:
             leu = lev = np.zeros(0, dtype=np.int64)
-        m = len(leu)
-        if m:
-            ones = np.ones(m, dtype=np.int32)
-            arange = np.arange(m)
+        if len(leu):
             self._leu_d = xp.asarray(leu)
             self._lev_d = xp.asarray(lev)
-            self._side_u = xp.csr(
-                sp.csr_matrix((ones, (leu, arange)), shape=(self.size, m))
-            )
-            self._side_v = xp.csr(
-                sp.csr_matrix((ones, (lev, arange)), shape=(self.size, m))
-            )
+            side_u, side_v = _side_matrices(leu, lev, self.size)
+            self._side_u = xp.csr(side_u)
+            self._side_v = xp.csr(side_v)
         else:
             self._leu_d = self._lev_d = None
             self._side_u = self._side_v = None
@@ -431,14 +445,7 @@ class _EnsembleColoringBase(EnsembleTrajectoryMixin):
     # construction helpers
     # ------------------------------------------------------------------
     def _build_adjacency(self) -> None:
-        """CSR neighbour arrays plus the one-sided edge incidence matrices.
-
-        ``side_u @ flags`` scatters a per-edge ``(m, R)`` flag array onto
-        each edge's u endpoint (``side_v`` likewise); their sum is the full
-        incidence used for "any incident edge failed" reductions.  Sparse
-        matmul is the fastest edge-to-vertex scatter available from numpy
-        land — ``np.logical_or.reduceat`` is ~50x slower on the same data.
-        """
+        """CSR neighbour arrays plus the vertex-edge incidence matrices."""
         xp = self.xp
         n, m = self.n, self._m
         self._degrees, self._indptr, self._csr_indices = build_csr_neighbours(
@@ -450,10 +457,7 @@ class _EnsembleColoringBase(EnsembleTrajectoryMixin):
         self._eu_d = xp.asarray(self._eu)
         self._ev_d = xp.asarray(self._ev)
         if m:
-            ones = np.ones(m, dtype=np.int32)
-            arange = np.arange(m)
-            side_u = sp.csr_matrix((ones, (self._eu, arange)), shape=(n, m))
-            side_v = sp.csr_matrix((ones, (self._ev, arange)), shape=(n, m))
+            side_u, side_v = _side_matrices(self._eu, self._ev, n)
             self._side_u = xp.csr(side_u)
             self._side_v = xp.csr(side_v)
             self._incidence = xp.csr((side_u + side_v).tocsr())
@@ -632,6 +636,52 @@ class EnsembleLubyGlauberColoring(_EnsembleColoringBase):
         self.steps_taken += 1
 
 
+def _pairwise_edge_tables(mrf: MRF):
+    """Sorted edge arrays plus a per-edge index into the stack of ``A_e``.
+
+    ``mrf.edges`` is sorted with ``u < v`` and ``mrf._edge_activity`` holds
+    the tables in that same order, so one pass keyed by ``id()`` stacks
+    every distinct matrix once: a homogeneous model (or a copy-on-write
+    mutation of one) costs a single table however many edges it has.
+    Returns ``(edge_u, edge_v, edge_table, stack)``.
+    """
+    edges = np.asarray(mrf.edges, dtype=np.int64).reshape(-1, 2)
+    index_of: dict[int, int] = {}
+    stack: list[np.ndarray] = []
+    edge_table: list[int] = []
+    for matrix in mrf._edge_activity.values():
+        index = index_of.get(id(matrix))
+        if index is None:
+            index = index_of[id(matrix)] = len(stack)
+            stack.append(matrix)
+        edge_table.append(index)
+    tables = np.stack(stack) if stack else np.ones((1, mrf.q, mrf.q))
+    return (
+        edges[:, 0].copy(),
+        edges[:, 1].copy(),
+        np.asarray(edge_table, dtype=np.int64),
+        tables,
+    )
+
+
+def _ascending_csr(edge_u, edge_v, n: int, edge_table):
+    """CSR neighbour slots in ascending-neighbour order, each with its table.
+
+    The neighbours of ``v`` are ``indices[indptr[v]:indptr[v + 1]]`` in the
+    order of ``mrf.neighbors(v)`` — the sequential chains' float operation
+    order — and ``slot_table[s]`` is the stack index of the edge behind
+    slot ``s``.  Returns ``(degrees, indptr, indices, slot_table)``.
+    """
+    owners = np.concatenate([edge_u, edge_v])
+    neighbours = np.concatenate([edge_v, edge_u])
+    order = np.lexsort((neighbours, owners))
+    degrees = np.bincount(owners, minlength=n).astype(np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    slot_table = np.concatenate([edge_table, edge_table])[order]
+    return degrees, indptr, neighbours[order], slot_table
+
+
 class EnsembleGlauberDynamics(EnsembleTrajectoryMixin):
     """Batched single-site heat-bath Glauber for general pairwise MRFs.
 
@@ -680,27 +730,21 @@ class EnsembleGlauberDynamics(EnsembleTrajectoryMixin):
             if np.any(config < 0) or np.any(config >= q):
                 raise ModelError(f"initial spins must lie in 0..{q - 1}")
         self._config = self.xp.asarray(config.astype(np.int64))
-        # Padded neighbour table (-1 pad) plus a per-slot index into the
-        # deduplicated stack of edge-activity matrices, so heterogeneous
-        # models cost no more than shared-matrix ones.
-        max_degree = mrf.max_degree
-        self._neighbour_pad = np.full((n, max(max_degree, 1)), -1, dtype=np.int64)
-        self._activity_index = np.zeros((n, max(max_degree, 1)), dtype=np.int64)
-        matrices: list[np.ndarray] = []
-        matrix_ids: dict[int, int] = {}
-        for v in range(n):
-            for k, u in enumerate(mrf.neighbors(v)):
-                matrix = mrf.edge_activity(u, v)
-                key = id(matrix)
-                if key not in matrix_ids:
-                    matrix_ids[key] = len(matrices)
-                    matrices.append(np.asarray(matrix, dtype=float))
-                self._neighbour_pad[v, k] = u
-                self._activity_index[v, k] = matrix_ids[key]
-        activities = np.stack(matrices) if matrices else np.ones((1, q, q))
+        # Padded neighbour table (-1 pad) in ascending-neighbour order plus
+        # each slot's index into the deduplicated edge-activity stack, both
+        # laid out from the ascending CSR slots.
+        eu, ev, edge_table, activities = _pairwise_edge_tables(mrf)
+        degrees, indptr, indices, slot_table = _ascending_csr(eu, ev, n, edge_table)
+        width = max(int(degrees.max(initial=0)), 1)
+        owner = np.repeat(np.arange(n), degrees)
+        position = np.arange(indices.size) - indptr[owner]
+        self._neighbour_pad = np.full((n, width), -1, dtype=np.int64)
+        self._neighbour_pad[owner, position] = indices
+        activity_index = np.zeros((n, width), dtype=np.int64)
+        activity_index[owner, position] = slot_table
         xp = self.xp
         self._neighbour_pad_d = xp.asarray(self._neighbour_pad)
-        self._activity_index_d = xp.asarray(self._activity_index)
+        self._activity_index_d = xp.asarray(activity_index)
         self._activities = xp.asarray(activities)
         self._vertex_activity = xp.asarray(
             np.asarray(mrf.vertex_activity, dtype=float)
@@ -768,10 +812,7 @@ class EnsembleGlauberDynamics(EnsembleTrajectoryMixin):
                 "spins have zero weight given the neighbours' spins"
             )
         cdf = xp.cumsum(weights / totals[:, None], axis=1)
-        uniforms = xp.random(self.rng, r)
-        spins = xp.sum(cdf <= uniforms[:, None], axis=1)
-        spins = xp.clip(spins, 0, q - 1)
-        self._config[rows, vertices] = spins
+        self._config[rows, vertices] = inverse_cdf(cdf.T, xp.random(self.rng, r), xp)
 
     def is_feasible(self) -> np.ndarray:
         """Per-replica feasibility mask, shape ``(R,)``."""
@@ -781,30 +822,42 @@ class EnsembleGlauberDynamics(EnsembleTrajectoryMixin):
         )
 
 
-class EnsembleLubyGlauberMRF(EnsembleTrajectoryMixin):
-    """Batched Algorithm 1 (LubyGlauber) for *general* pairwise MRFs.
+class _EnsemblePairwiseMRFBase(EnsembleTrajectoryMixin):
+    """Shared vectorised structure of the batched pairwise-MRF kernels.
 
-    The general-model sibling of :class:`EnsembleLubyGlauberColoring`:
-    where the colouring engine rejection-samples uniform available
-    colours, this engine heat-bath-resamples every selected (replica,
-    vertex) pair from its exact conditional marginal (paper eq. (2)), so
-    it covers hardcore, Ising and *list-colouring* models — any pairwise
-    MRF — with one batched kernel.
+    One construction serves both distributed algorithms on any pairwise
+    MRF, and the two engines differ only in ``step()``:
 
-    One step advances all R replicas by one LubyGlauber round: each
-    replica draws its own Luby independent set, then the conditional
-    weight vectors of *all* selected pairs are assembled at once — the
-    CSR neighbour arrays expand each pair to its neighbour slots, one
-    gather pulls the neighbours' current spins, a second gather pulls the
-    matching columns of the deduplicated edge-activity stack, and a
-    segmented product reduces slots back to per-pair ``(q,)`` weight
-    vectors.  Sampling is one vectorised inverse-CDF, with the same
-    largest-positive-mass fallthrough rule as the CSP engine.
+    * the sorted edge arrays, straight from ``mrf.edges``;
+    * a per-edge index into the deduplicated stack of edge activities
+      ``A_e``, from which the flat normalised filter tables ``Ã_e`` of
+      Algorithm 2 and the CSR neighbour slots of the heat-bath update are
+      both derived;
+    * the one-sided and full vertex-edge incidence matrices (Luby step;
+      "any incident edge failed" reduction);
+    * the per-vertex proposal CDF of ``b_v``.
 
-    Each replica evolves by exactly the same Markov kernel as the
-    sequential :class:`~repro.chains.luby_glauber.LubyGlauberChain` (same
-    Luby selection law, same heat-bath conditional), so the ensemble is
-    distributionally identical to independent sequential runs.
+    The state is the vertex-major ``(n, R)`` batch in the smallest spin
+    dtype.  The heat-bath update and the region-restricted advance live
+    here: a clamped LocalMetropolis round has no stationarity guarantee,
+    so both engines re-mix a region with the LubyGlauber kernel.
+
+    Parameters
+    ----------
+    mrf:
+        The pairwise MRF.
+    replicas:
+        Number of independent replicas R advanced per step.
+    initial:
+        ``None`` (:func:`~repro.chains.base.greedy_feasible_config`
+        replicated to all replicas), a length-n configuration shared by all
+        replicas, or an ``(R, n)`` batch giving each replica its own start.
+    seed:
+        Seed, :class:`numpy.random.SeedSequence` or Generator for the single
+        shared RNG stream (module docstring: seed and stream contract).
+    backend:
+        Array backend name or instance (module docstring: array-backend
+        contract); ``None`` resolves via ``$REPRO_BACKEND``, then numpy.
     """
 
     def __init__(
@@ -818,69 +871,53 @@ class EnsembleLubyGlauberMRF(EnsembleTrajectoryMixin):
         if replicas < 1:
             raise ModelError(f"ensemble needs replicas >= 1, got {replicas}")
         self.mrf = mrf
-        self.n = mrf.n
-        self.q = mrf.q
+        self.n = n = mrf.n
+        self.q = q = mrf.q
         self.replicas = int(replicas)
-        self._dtype = _spin_dtype(self.q)
+        self._dtype = _spin_dtype(q)
         self.rng = as_generator(seed)
-        self.xp = get_backend(backend)
-        xp = self.xp
-        n = self.n
-        self._eu, self._ev = sorted_edge_arrays(mrf.graph)
+        self.xp = xp = get_backend(backend)
+        self._eu, self._ev, edge_table, stack = _pairwise_edge_tables(mrf)
         self._m = len(self._eu)
-        self._degrees, self._indptr, self._csr_indices = build_csr_neighbours(
-            self._eu, self._ev, n
+        self._degrees, indptr, indices, slot_table = _ascending_csr(
+            self._eu, self._ev, n, edge_table
         )
         self._degrees_d = xp.asarray(self._degrees)
-        self._indptr_d = xp.asarray(self._indptr)
-        self._csr_indices_d = xp.asarray(self._csr_indices)
+        self._indptr_d = xp.asarray(indptr)
+        self._csr_indices_d = xp.asarray(indices)
+        self._slot_table_d = xp.asarray(slot_table)
         self._eu_d = xp.asarray(self._eu)
         self._ev_d = xp.asarray(self._ev)
         if self._m:
-            ones = np.ones(self._m, dtype=np.int32)
-            arange = np.arange(self._m)
-            self._side_u = xp.csr(
-                sp.csr_matrix((ones, (self._eu, arange)), shape=(n, self._m))
-            )
-            self._side_v = xp.csr(
-                sp.csr_matrix((ones, (self._ev, arange)), shape=(n, self._m))
-            )
+            side_u, side_v = _side_matrices(self._eu, self._ev, n)
+            self._side_u = xp.csr(side_u)
+            self._side_v = xp.csr(side_v)
+            self._incidence = xp.csr((side_u + side_v).tocsr())
         else:
-            self._side_u = self._side_v = None
-        # CSR-slot-aligned deduplicated edge-activity stack: the slot
-        # ``indptr[v] + k`` (neighbour u = csr_indices[indptr[v] + k])
-        # holds the index of A_{uv} inside the stack, so heterogeneous
-        # models cost no more than shared-matrix ones.  Undirected edge
-        # matrices are symmetric, so gathering column ``X_u`` equals the
-        # row gather the sequential chain performs.
-        matrices: list[np.ndarray] = []
-        matrix_ids: dict[int, int] = {}
-        slot_activity = np.zeros(max(len(self._csr_indices), 1), dtype=np.int64)
-        for v in range(n):
-            for k in range(int(self._degrees[v])):
-                slot = int(self._indptr[v]) + k
-                u = int(self._csr_indices[slot])
-                matrix = mrf.edge_activity(u, v)
-                key = id(matrix)
-                if key not in matrix_ids:
-                    matrix_ids[key] = len(matrices)
-                    matrices.append(np.asarray(matrix, dtype=float))
-                slot_activity[slot] = matrix_ids[key]
-        activities = np.stack(matrices) if matrices else np.ones((1, self.q, self.q))
-        self._slot_activity_d = xp.asarray(slot_activity)
-        self._activities = xp.asarray(activities)
+            self._side_u = self._side_v = self._incidence = None
+        self._activities = xp.asarray(stack)
         self._vertex_activity_d = xp.asarray(
             np.asarray(mrf.vertex_activity, dtype=float)
         )
+        # Flat Ã_e stack, addressed at table * q^2 + a * q + b.
+        self._filter_flat = xp.asarray(
+            (stack / stack.max(axis=(1, 2), keepdims=True)).ravel()
+        )
+        # int32 filter offsets halve the memory traffic of the per-round
+        # index arithmetic (int64 only for a stack past 2^31 entries).
+        self._index_dtype = np.int32 if stack.size < 2**31 else np.int64
+        self._edge_base_d = xp.asarray((edge_table * q * q)[:, None].astype(self._index_dtype))
+        activity = mrf.vertex_activity
+        cdf = np.cumsum(activity / activity.sum(axis=1, keepdims=True), axis=1)
+        self._proposal_cdf = xp.asarray(np.ascontiguousarray(cdf.T[:, :, None]))
         self._config = xp.asarray(
             _initial_spin_batch(
                 initial,
                 n,
-                self.q,
+                q,
                 self.replicas,
                 self._dtype,
                 lambda: greedy_feasible_config(mrf, self.rng),
-                noun="spins",
             )
         )
         self.steps_taken = 0
@@ -905,22 +942,13 @@ class EnsembleLubyGlauberMRF(EnsembleTrajectoryMixin):
             [self.mrf.is_feasible(config[i]) for i in range(self.replicas)]
         )
 
-    def _luby_select(self):
-        """Per-replica Luby step on the model graph, ``(n, R)`` boolean."""
-        return _batched_luby_select(
-            self.xp, self.rng, self.n, self.replicas, self._eu_d, self._ev_d,
-            self._side_u, self._side_v,
-        )
+    def step(self) -> None:  # pragma: no cover - overridden
+        raise NotImplementedError
 
-    def step(self) -> None:
-        """Select independent sets; heat-bath-update all pairs in parallel."""
-        v_idx, r_idx = self.xp.nonzero_pairs(self._luby_select())
-        if _obs_metrics.enabled:
-            _record_luby_step(self, v_idx)
-        self._heatbath_update(v_idx, r_idx)
-        self.steps_taken += 1
-
-    def advance_region(self, steps: int, region) -> EnsembleLubyGlauberMRF:
+    # ------------------------------------------------------------------
+    # heat-bath machinery (LubyGlauber step and region-restricted advance)
+    # ------------------------------------------------------------------
+    def advance_region(self, steps: int, region) -> _EnsemblePairwiseMRFBase:
         """Advance only ``region`` for ``steps`` rounds, boundary clamped.
 
         Every round Luby-selects an independent set among the region
@@ -950,10 +978,11 @@ class EnsembleLubyGlauberMRF(EnsembleTrajectoryMixin):
         pairs = int(v_idx.shape[0])
         if pairs == 0:  # pragma: no cover - Luby always selects someone
             return
-        q = self.q
         # Conditional weights b_v(c) * prod_u A_uv(c, X_u), eq. (2).  The
         # neighbours of a selected vertex are unselected (Luby step), so
-        # their spins are fixed for the whole update.
+        # their spins are fixed for the whole update.  Undirected edge
+        # matrices are symmetric, so gathering column ``X_u`` equals the
+        # row gather the sequential chain performs.
         weights = xp.take_rows(self._vertex_activity_d, v_idx)
         if self._m:
             pair_of_slot, slots = xp.expand_neighbour_slots(
@@ -964,7 +993,7 @@ class EnsembleLubyGlauberMRF(EnsembleTrajectoryMixin):
                 xp.repeat(r_idx, self._degrees_d[v_idx]),
             ]
             values = self._activities[
-                self._slot_activity_d[slots], :, xp.astype(neighbour_spins, np.int64)
+                self._slot_table_d[slots], :, xp.astype(neighbour_spins, np.int64)
             ]
             weights = weights * xp.segment_prod(
                 values, self._degrees[xp.to_numpy(v_idx)]
@@ -973,18 +1002,100 @@ class EnsembleLubyGlauberMRF(EnsembleTrajectoryMixin):
         if xp.any(totals <= 0.0):
             bad = int(v_idx[xp.argmax(totals <= 0.0)])
             raise InfeasibleStateError(
-                f"conditional marginal at vertex {bad} is undefined: all {q} "
+                f"conditional marginal at vertex {bad} is undefined: all {self.q} "
                 "spins have zero weight given the neighbours' spins"
             )
         cdf = xp.cumsum(weights / totals[:, None], axis=1)
-        uniforms = xp.random(self.rng, pairs)
-        spins = xp.sum(cdf <= uniforms[:, None], axis=1)
-        # Rounding can leave cdf[-1] < 1 so a draw lands past the end; fall
-        # back to the *largest positive-mass* spin, never a zero-mass one
-        # (same fallthrough rule as the CSP engine and cftp._inverse_cdf_spin).
-        last_positive = q - 1 - xp.argmax_axis(xp.flip(weights, axis=1) > 0.0, axis=1)
-        spins = xp.minimum(spins, last_positive)
+        spins = inverse_cdf(cdf.T, xp.random(self.rng, pairs), xp)
         self._config[v_idx, r_idx] = xp.astype(spins, self._dtype)
+
+
+class EnsembleLubyGlauberMRF(_EnsemblePairwiseMRFBase):
+    """Batched Algorithm 1 (LubyGlauber) for *general* pairwise MRFs.
+
+    The general-model sibling of :class:`EnsembleLubyGlauberColoring`:
+    where the colouring engine rejection-samples uniform available
+    colours, this engine heat-bath-resamples every selected (replica,
+    vertex) pair from its exact conditional marginal (paper eq. (2)), so
+    it covers hardcore, Ising and *list-colouring* models — any pairwise
+    MRF — with one batched kernel.
+
+    One step advances all R replicas by one LubyGlauber round: each
+    replica draws its own Luby independent set, then the conditional
+    weight vectors of *all* selected pairs are assembled at once — the
+    CSR neighbour arrays expand each pair to its neighbour slots, one
+    gather pulls the neighbours' current spins, a second gather pulls the
+    matching columns of the deduplicated edge-activity stack, and a
+    segmented product reduces slots back to per-pair ``(q,)`` weight
+    vectors.  Sampling is one vectorised inverse-CDF
+    (:func:`repro.chains.sampling.inverse_cdf`).
+
+    Each replica evolves by exactly the same Markov kernel as the
+    sequential :class:`~repro.chains.luby_glauber.LubyGlauberChain` (same
+    Luby selection law, same heat-bath conditional), so the ensemble is
+    distributionally identical to independent sequential runs.
+    """
+
+    def _luby_select(self):
+        """Per-replica Luby step on the model graph, ``(n, R)`` boolean."""
+        return _batched_luby_select(
+            self.xp, self.rng, self.n, self.replicas, self._eu_d, self._ev_d,
+            self._side_u, self._side_v,
+        )
+
+    def step(self) -> None:
+        """Select independent sets; heat-bath-update all pairs in parallel."""
+        v_idx, r_idx = self.xp.nonzero_pairs(self._luby_select())
+        if _obs_metrics.enabled:
+            _record_luby_step(self, v_idx)
+        self._heatbath_update(v_idx, r_idx)
+        self.steps_taken += 1
+
+
+class EnsembleLocalMetropolisMRF(_EnsemblePairwiseMRFBase):
+    """Batched Algorithm 2 (LocalMetropolis) for *general* pairwise MRFs.
+
+    One step advances all R replicas by one LocalMetropolis round: every
+    (vertex, replica) pair proposes ``sigma_v`` from ``b_v`` by inverse
+    CDF; every (edge, replica) pair passes with probability
+    ``Ã_e(sigma_u, sigma_v) * Ã_e(X_u, sigma_v) * Ã_e(sigma_u, X_v)``
+    (three gathers from the flat ``Ã_e`` stack and one shared coin); and a
+    vertex accepts iff none of its incident edges failed.
+
+    Each replica evolves by exactly the same Markov kernel as the
+    sequential :class:`~repro.chains.local_metropolis.LocalMetropolisChain`
+    (Theorem 4.1: reversible with respect to the Gibbs distribution).
+    """
+
+    def step(self) -> None:
+        """Propose from ``b_v``; filter every edge; accept where clean."""
+        xp = self.xp
+        uniforms = xp.random(self.rng, (self.n, self.replicas))
+        proposals = xp.astype(inverse_cdf(self._proposal_cdf, uniforms, xp), self._dtype)
+        if self._m:
+            q, index = self.q, self._index_dtype
+            pu = xp.astype(proposals[self._eu_d], index)
+            pv = xp.astype(proposals[self._ev_d], index)
+            xu = xp.astype(self._config[self._eu_d], index)
+            xv = xp.astype(self._config[self._ev_d], index)
+            from_proposal = self._edge_base_d + pu * q
+            from_current = self._edge_base_d + xu * q
+            table = self._filter_flat
+            pass_probability = (
+                table[from_proposal + pv]
+                * table[from_current + pv]
+                * table[from_proposal + xv]
+            )
+            # One shared coin per (edge, replica): u < p always holds at
+            # p = 1 and never at p = 0, as in the sequential chain.
+            coins = xp.random(self.rng, (self._m, self.replicas))
+            blocked = xp.spmm_count(self._incidence, coins >= pass_probability) > 0
+            if _obs_metrics.enabled:
+                _record_metropolis_step(self, blocked)
+            self._config = xp.where(blocked, self._config, proposals)
+        else:
+            self._config = proposals
+        self.steps_taken += 1
 
 
 # ----------------------------------------------------------------------
@@ -1161,18 +1272,9 @@ class _EnsembleCSPBase(EnsembleTrajectoryMixin):
         self._cu_d = xp.asarray(self._cu)
         self._cv_d = xp.asarray(self._cv)
         if self._conflict_m:
-            ones = np.ones(self._conflict_m, dtype=np.int32)
-            arange = np.arange(self._conflict_m)
-            self._conflict_u = xp.csr(
-                sp.csr_matrix(
-                    (ones, (self._cu, arange)), shape=(self.n, self._conflict_m)
-                )
-            )
-            self._conflict_v = xp.csr(
-                sp.csr_matrix(
-                    (ones, (self._cv, arange)), shape=(self.n, self._conflict_m)
-                )
-            )
+            side_u, side_v = _side_matrices(self._cu, self._cv, self.n)
+            self._conflict_u = xp.csr(side_u)
+            self._conflict_v = xp.csr(side_v)
         else:
             self._conflict_u = self._conflict_v = None
         # Vertex -> (constraint, stride-of-vertex) incidence CSR: the slots
@@ -1241,13 +1343,7 @@ class _EnsembleCSPBase(EnsembleTrajectoryMixin):
                 f"CSP conditional marginal at vertex {bad} is undefined (zero mass)"
             )
         cdf = xp.cumsum(weights / totals[:, None], axis=1)
-        uniforms = xp.random(self.rng, pairs)
-        spins = xp.sum(cdf <= uniforms[:, None], axis=1)
-        # Rounding can leave cdf[-1] < 1 so a draw lands past the end; fall
-        # back to the *largest positive-mass* spin, never a zero-mass one
-        # (same fallthrough rule as cftp._inverse_cdf_spin).
-        last_positive = q - 1 - xp.argmax_axis(xp.flip(weights, axis=1) > 0.0, axis=1)
-        spins = xp.minimum(spins, last_positive)
+        spins = inverse_cdf(cdf.T, xp.random(self.rng, pairs), xp)
         self._config[v_idx, r_idx] = xp.astype(spins, self._dtype)
 
     def advance_region(self, steps: int, region) -> _EnsembleCSPBase:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.chains.base import Chain
+from repro.chains.sampling import inverse_cdf_spin
 from repro.mrf.marginals import conditional_marginal
 
 __all__ = ["GlauberDynamics"]
@@ -40,13 +41,8 @@ def sample_spin(distribution: np.ndarray, rng: np.random.Generator) -> int:
     """Draw one spin from a probability vector via inverse CDF.
 
     Equivalent to ``rng.choice(q, p=distribution)`` but considerably faster,
-    which matters because chain ensembles call this millions of times.
+    which matters because chain ensembles call this millions of times.  A
+    draw past a CDF that tops out below 1.0 gets the largest positive-mass
+    spin (:func:`repro.chains.sampling.inverse_cdf_spin`).
     """
-    u = rng.random()
-    cumulative = 0.0
-    last = len(distribution) - 1
-    for spin, mass in enumerate(distribution):
-        cumulative += mass
-        if u < cumulative:
-            return spin
-    return last
+    return inverse_cdf_spin(distribution, rng.random())

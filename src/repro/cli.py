@@ -47,12 +47,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
-from contextlib import contextmanager
 
 import repro
 from repro.api import model_degree
-from repro.errors import FallbackEngineWarning
 from repro.csp import (
     dominating_set_csp,
     maximal_independent_set_csp,
@@ -77,26 +74,6 @@ __all__ = ["main", "build_parser"]
 #: through the same ``repro.sample`` / ``repro.make_ensemble`` facade as
 #: MRFs (the CSP remarks after Algorithms 1-2).
 CSP_MODELS = ("dominating-set", "mis", "nae")
-
-
-@contextmanager
-def _fallback_notices():
-    """Surface :class:`FallbackEngineWarning` as a plain CLI notice.
-
-    Library warnings read like stack traces in a terminal; the CLI turns
-    the off-the-fast-path warning into a one-line ``notice:`` on stderr
-    and re-emits anything else unchanged.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", FallbackEngineWarning)
-        yield
-    for entry in caught:
-        if issubclass(entry.category, FallbackEngineWarning):
-            print(f"notice: {entry.message}", file=sys.stderr)
-        else:
-            warnings.warn_explicit(
-                entry.message, entry.category, entry.filename, entry.lineno
-            )
 
 
 def _build_graph(args: argparse.Namespace):
@@ -420,16 +397,15 @@ def _command_sample(args: argparse.Namespace) -> int:
             "--engine applies to single samples; batched sampling always "
             "uses the replica-ensemble engines"
         )
-    with _fallback_notices():
-        batch = repro.sample_many(
-            model,
-            args.samples,
-            method=args.method,
-            eps=args.eps,
-            rounds=args.rounds,
-            seed=args.seed,
-            parallel=args.jobs,
-        )
+    batch = repro.sample_many(
+        model,
+        args.samples,
+        method=args.method,
+        eps=args.eps,
+        rounds=args.rounds,
+        seed=args.seed,
+        parallel=args.jobs,
+    )
     feasible = sum(1 for row in batch if model.is_feasible(row))
     jobs = "in-process" if args.jobs is None else str(args.jobs)
     print(model_line)
@@ -468,10 +444,9 @@ def _command_mix(args: argparse.Namespace) -> int:
         target = exact_csp_gibbs_distribution(model)
     else:
         target = exact_gibbs_distribution(model)
-    with _fallback_notices():
-        ensemble = repro.make_ensemble(
-            model, args.replicas, method=args.method, seed=args.seed, parallel=args.jobs
-        )
+    ensemble = repro.make_ensemble(
+        model, args.replicas, method=args.method, seed=args.seed, parallel=args.jobs
+    )
     try:
         curve = ensemble_tv_curve(ensemble, target, checkpoints=checkpoints)
     finally:
@@ -492,18 +467,17 @@ def _command_mix(args: argparse.Namespace) -> int:
         payload["jobs"] = args.jobs
     if args.eps is not None:
         payload["eps"] = args.eps
-        with _fallback_notices():
-            payload["mixing_time"] = repro.mixing_time(
-                model,
-                args.eps,
-                method=args.method,
-                replicas=args.replicas,
-                max_rounds=args.max_rounds,
-                stride=args.stride,
-                seed=args.seed,
-                target=target,
-                parallel=args.jobs,
-            )
+        payload["mixing_time"] = repro.mixing_time(
+            model,
+            args.eps,
+            method=args.method,
+            replicas=args.replicas,
+            max_rounds=args.max_rounds,
+            stride=args.stride,
+            seed=args.seed,
+            target=target,
+            parallel=args.jobs,
+        )
     json.dump(payload, sys.stdout, indent=2)
     print()
     return 0
@@ -666,14 +640,13 @@ def _command_sweep(args: argparse.Namespace) -> int:
         mode, workers = "jobs", args.jobs
     else:
         mode, workers = "local", 2
-    with _fallback_notices():
-        sweep = run_sweep(
-            grid,
-            mode=mode,
-            workers=workers,
-            server=args.server,
-            checks=not args.no_checks,
-        )
+    sweep = run_sweep(
+        grid,
+        mode=mode,
+        workers=workers,
+        server=args.server,
+        checks=not args.no_checks,
+    )
     table = sweep.table
     if args.output is not None:
         with open(args.output, "w") as handle:
@@ -702,60 +675,59 @@ def _command_dynamic(args: argparse.Namespace) -> int:
         raise ReproError("the dynamic demo needs a model with constraints")
     if not is_csp and not model.edges:
         raise ReproError("the dynamic demo needs a model with edges")
-    with _fallback_notices():
-        dyn = DynamicEnsemble(
-            model,
-            args.replicas,
-            method=args.method,
-            eps=args.eps,
-            radius=args.radius,
-            seed=args.seed,
+    dyn = DynamicEnsemble(
+        model,
+        args.replicas,
+        method=args.method,
+        eps=args.eps,
+        radius=args.radius,
+        seed=args.seed,
+    )
+    dyn.mix(args.rounds)
+    full_budget = repro.default_round_budget(model, args.method, args.eps)
+    events = []
+
+    def toggle(op, detail):
+        region = int(dyn.pending_region.size)
+        kernel = (
+            args.method
+            if hasattr(dyn.engine, "advance_region")
+            else "glauber"
         )
-        dyn.mix(args.rounds)
-        full_budget = repro.default_round_budget(model, args.method, args.eps)
-        events = []
+        rounds = region_round_budget(dyn.model, kernel, region, args.eps)
+        dyn.resample()
+        batch = dyn.config
+        feasible = sum(1 for row in batch if dyn.model.is_feasible(row))
+        events.append(
+            {
+                "op": op,
+                "detail": detail,
+                "region": region,
+                "rounds": rounds,
+                "full_rounds": full_budget,
+                "feasible_fraction": feasible / len(batch),
+                "fingerprint": dyn.model_fingerprint()[:16],
+            }
+        )
 
-        def toggle(op, detail):
-            region = int(dyn.pending_region.size)
-            kernel = (
-                args.method
-                if hasattr(dyn.engine, "advance_region")
-                else "glauber"
-            )
-            rounds = region_round_budget(dyn.model, kernel, region, args.eps)
-            dyn.resample()
-            batch = dyn.config
-            feasible = sum(1 for row in batch if dyn.model.is_feasible(row))
-            events.append(
-                {
-                    "op": op,
-                    "detail": detail,
-                    "region": region,
-                    "rounds": rounds,
-                    "full_rounds": full_budget,
-                    "feasible_fraction": feasible / len(batch),
-                    "fingerprint": dyn.model_fingerprint()[:16],
-                }
-            )
-
-        for step in range(args.steps):
-            if is_csp:
-                # Toggle the tail constraint: re-appending the removed one
-                # then restores the exact constraint order (and fingerprint).
-                index = len(dyn.model.constraints) - 1
-                constraint = dyn.model.constraints[index]
-                detail = list(int(v) for v in constraint.scope)
-                dyn.remove_constraint(index)
-                toggle("remove_constraint", detail)
-                dyn.add_constraint(constraint)
-                toggle("add_constraint", detail)
-            else:
-                u, v = model.edges[step % len(model.edges)]
-                activity = model.edge_activity(u, v)
-                dyn.remove_edge(u, v)
-                toggle("remove_edge", [int(u), int(v)])
-                dyn.add_edge(u, v, activity)
-                toggle("add_edge", [int(u), int(v)])
+    for step in range(args.steps):
+        if is_csp:
+            # Toggle the tail constraint: re-appending the removed one
+            # then restores the exact constraint order (and fingerprint).
+            index = len(dyn.model.constraints) - 1
+            constraint = dyn.model.constraints[index]
+            detail = list(int(v) for v in constraint.scope)
+            dyn.remove_constraint(index)
+            toggle("remove_constraint", detail)
+            dyn.add_constraint(constraint)
+            toggle("add_constraint", detail)
+        else:
+            u, v = model.edges[step % len(model.edges)]
+            activity = model.edge_activity(u, v)
+            dyn.remove_edge(u, v)
+            toggle("remove_edge", [int(u), int(v)])
+            dyn.add_edge(u, v, activity)
+            toggle("add_edge", [int(u), int(v)])
     payload = {
         "model": model.name,
         "graph": args.graph,

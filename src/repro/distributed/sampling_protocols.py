@@ -28,6 +28,7 @@ from typing import Any
 import numpy as np
 
 from repro.chains.glauber import sample_spin
+from repro.chains.sampling import inverse_cdf, inverse_cdf_spin
 from repro.errors import ProtocolError
 from repro.local.network import Network
 from repro.local.protocol import NodeContext, Protocol
@@ -137,13 +138,11 @@ class LocalMetropolisProtocol(Protocol):
             raise ProtocolError("LocalMetropolisProtocol needs SamplingInput private inputs")
         ctx.state["spin"] = inp.initial_spin
         total = inp.vertex_activity.sum()
-        ctx.state["proposal_cdf"] = np.cumsum(inp.vertex_activity / total)
+        ctx.state["proposal_distribution"] = inp.vertex_activity / total
 
     def compose(self, ctx: NodeContext, round_index: int) -> dict[int, Any]:
-        cdf = ctx.state["proposal_cdf"]
-        draw = float(ctx.rng.random())
-        proposal = int(np.searchsorted(cdf, draw, side="right"))
-        proposal = min(proposal, len(cdf) - 1)
+        distribution = ctx.state["proposal_distribution"]
+        proposal = inverse_cdf_spin(distribution, float(ctx.rng.random()))
         coin_share = float(ctx.rng.random())
         ctx.state["proposal"] = proposal
         ctx.state["coin_share"] = coin_share
@@ -295,9 +294,7 @@ class VectorizedLubyGlauber(_VectorizedSamplingBase):
             )
         cdf = xp.cumsum(weights, axis=1)
         draws = xp.random(ctx.rng, int(selected.shape[0])) * totals
-        new_spins = xp.sum(cdf <= draws[:, None], axis=1)
-        new_spins = xp.clip(new_spins, 0, ctx.state["q"] - 1)
-        spins[selected] = new_spins
+        spins[selected] = inverse_cdf(cdf.T, draws, xp)
 
 
 class VectorizedLocalMetropolis(_VectorizedSamplingBase):
@@ -332,22 +329,19 @@ class VectorizedLocalMetropolis(_VectorizedSamplingBase):
         )
         vertex_activity = ctx.state["vertex_activity"]
         totals = vertex_activity.sum(axis=1, keepdims=True)
+        # Spin-major (q, n), the layout inverse_cdf reduces over.
         ctx.state["proposal_cdf"] = xp.asarray(
-            np.cumsum(vertex_activity / totals, axis=1)
+            np.cumsum(vertex_activity / totals, axis=1).T.copy()
             if ctx.n
-            else np.zeros((0, q))
+            else np.zeros((q, 0))
         )
 
     def round(self, ctx: VectorizedContext, round_index: int) -> None:
         xp = ctx.xp
         spins = ctx.state["spins"]
-        cdf = ctx.state["proposal_cdf"]
-        q = ctx.state["q"]
         # Proposals via vectorised inverse-CDF — identical semantics to the
-        # reference's searchsorted(side="right") per node.
-        draws = xp.random(ctx.rng, ctx.n)
-        proposals = xp.sum(cdf <= draws[:, None], axis=1)
-        proposals = xp.clip(proposals, 0, q - 1)
+        # reference's per-node inverse_cdf_spin.
+        proposals = inverse_cdf(ctx.state["proposal_cdf"], xp.random(ctx.rng, ctx.n), xp)
         shares = xp.random(ctx.rng, ctx.n)
         if ctx.m == 0:
             spins[...] = proposals

@@ -13,8 +13,9 @@ with the region size in place of ``n`` — the point of incremental
 resampling is that the warm-started region re-mixes in rounds governed by
 ``|S|``, not ``n``.  :func:`sequential_region_glauber` is the plain
 per-replica reference kernel: the distributional oracle the equivalence
-tests compare the batched ``advance_region`` implementations against, and
-the fallback path for engine families without a batched region kernel.
+tests compare the batched ``advance_region`` implementations against.
+Every engine family has a batched region kernel, so it is only a test
+oracle now.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.api import _BUDGET_CONSTANT, METHODS, model_degree
+from repro.chains.glauber import sample_spin
 from repro.csp.hypergraph import csp_neighbors
 from repro.csp.model import LocalCSP
 from repro.errors import ModelError
@@ -131,10 +133,8 @@ def sequential_region_glauber(
 
     One step resamples, in every replica, one uniformly chosen *region*
     vertex from its exact conditional marginal given everything else —
-    the plain-Python reference law of the batched region kernels.  Serves
-    as the distributional oracle in the equivalence tests and as the
-    fallback path of :class:`repro.dynamic.DynamicEnsemble` for engine
-    families without a batched ``advance_region``.  Returns ``batch``.
+    the plain-Python reference law of the batched region kernels and the
+    distributional oracle of the equivalence tests.  Returns ``batch``.
     """
     batch = np.asarray(batch)
     if batch.ndim != 2 or batch.shape[1] != model.n:
@@ -156,6 +156,5 @@ def sequential_region_glauber(
                 marginal = model.conditional_marginal(batch[i], v)
             else:
                 marginal = conditional_marginal(model, batch[i], v)
-            draw = int(np.searchsorted(np.cumsum(marginal), rng.random()))
-            batch[i, v] = min(draw, model.q - 1)
+            batch[i, v] = sample_spin(marginal, rng)
     return batch

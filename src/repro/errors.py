@@ -102,13 +102,12 @@ class BackendUnavailableError(BackendError):
 
 
 class FallbackEngineWarning(RuntimeWarning):
-    """A model/method pair has no batched replica-ensemble kernel.
+    """No longer emitted: every model/method pair has a batched kernel.
 
-    Emitted by :func:`repro.api.make_ensemble` (and everything built on it:
-    ``sample_many``, ``tv_curve``, ``mixing_time``) when the dispatch falls
-    back to :class:`repro.analysis.convergence.SequentialChainEnsemble` —
-    correct for every model, but advancing replicas one sequential chain at
-    a time rather than with whole-ensemble array kernels.  Silence with
-    ``warnings.simplefilter("ignore", FallbackEngineWarning)`` once the
-    slow path is a deliberate choice.
+    :func:`repro.api.make_ensemble` used to warn with this category when it
+    served a general pairwise MRF under ``"local-metropolis"`` through one
+    sequential chain per replica.
+    :class:`repro.chains.ensemble.EnsembleLocalMetropolisMRF` now covers
+    that pair, so nothing in the library raises it; the class stays
+    importable so existing ``warnings`` filters that name it keep working.
     """

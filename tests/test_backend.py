@@ -14,7 +14,6 @@ Three layers of contract:
 """
 
 import importlib.util
-import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +29,7 @@ from repro.backend import (
     register_backend,
     resolve_backend_name,
 )
+from repro.chains.ensemble import EnsembleLocalMetropolisMRF
 from repro.errors import BackendError, BackendUnavailableError
 from repro.graphs import cycle_graph
 from repro.mrf import ising_mrf
@@ -120,13 +120,16 @@ class TestRegistry:
             make_ensemble(mrf, 3, method="local-metropolis", seed=1, backend="broken")
 
     def test_fallback_pair_still_rejects_unknown_backend(self):
-        # The sequential fallback ignores the backend but an unknown name
-        # must not be silently swallowed.
+        # The former sequential-fallback pair (general MRF, local-metropolis)
+        # runs the batched EnsembleLocalMetropolisMRF on the named backend,
+        # so an unknown name fails at construction like any other engine.
         mrf = ising_mrf(cycle_graph(6), beta=0.4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(BackendError, match="unknown array backend"):
-                make_ensemble(mrf, 3, method="local-metropolis", seed=1, backend="nope")
+        assert isinstance(
+            make_ensemble(mrf, 3, method="local-metropolis", seed=1, backend="numpy"),
+            EnsembleLocalMetropolisMRF,
+        )
+        with pytest.raises(BackendError, match="unknown array backend"):
+            make_ensemble(mrf, 3, method="local-metropolis", seed=1, backend="nope")
 
     @pytest.mark.skipif(HAVE_TORCH, reason="torch is installed here")
     def test_torch_unavailable_raises_at_construction(self):

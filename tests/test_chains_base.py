@@ -5,8 +5,60 @@ import pytest
 
 from repro.chains import GlauberDynamics, greedy_feasible_config, random_config
 from repro.errors import ModelError
-from repro.graphs import cycle_graph, path_graph
-from repro.mrf import hardcore_mrf, proper_coloring_mrf
+from repro.graphs import cycle_graph, grid_graph, path_graph, torus_graph
+from repro.mrf import (
+    MRF,
+    hardcore_mrf,
+    ising_mrf,
+    list_coloring_mrf,
+    proper_coloring_mrf,
+    vertex_cover_mrf,
+)
+
+
+def _frozen_greedy_feasible_config(mrf, rng=None):
+    """The original per-vertex numpy implementation, kept as the oracle."""
+    config = np.zeros(mrf.n, dtype=np.int64)
+    assigned = np.zeros(mrf.n, dtype=bool)
+    for v in range(mrf.n):
+        weights = mrf.vertex_activity[v].copy()
+        for u in mrf.neighbors(v):
+            if assigned[u]:
+                weights = weights * (mrf.edge_activity(u, v)[:, config[u]] > 0)
+        candidates = np.nonzero(weights > 0)[0]
+        if candidates.size == 0:
+            config[v] = int(np.argmax(mrf.vertex_activity[v]))
+        elif rng is None:
+            config[v] = int(candidates[0])
+        else:
+            config[v] = int(rng.choice(candidates))
+        assigned[v] = True
+    return config
+
+
+def _heterogeneous_mrf():
+    """Three-spin model with two edge tables shared by identity, hard zeros
+    and per-vertex fields, one of which allows a single spin."""
+    graph = grid_graph(3, 4)
+    soft = np.array([[2.0, 0.5, 1.0], [0.5, 2.0, 0.0], [1.0, 0.0, 2.0]])
+    hard = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    tables = {edge: (soft if sum(edge) % 2 else hard) for edge in graph.edges()}
+    fields = np.tile([1.0, 0.5, 2.0], (12, 1))
+    fields[5] = [0.0, 3.0, 0.0]
+    return MRF(graph, 3, tables, fields)
+
+
+GREEDY_MODELS = {
+    "coloring": lambda: proper_coloring_mrf(torus_graph(5, 5), 6),
+    "coloring-tight": lambda: proper_coloring_mrf(cycle_graph(7), 2),
+    "list-coloring": lambda: list_coloring_mrf(
+        cycle_graph(6), 4, {v: [v % 4, (v + 1) % 4, 3] for v in range(6)}
+    ),
+    "hardcore": lambda: hardcore_mrf(torus_graph(5, 5), 1.5),
+    "ising": lambda: ising_mrf(grid_graph(4, 4), beta=0.7, field=1.3),
+    "vertex-cover": lambda: vertex_cover_mrf(torus_graph(4, 4), 2.0),
+    "heterogeneous": _heterogeneous_mrf,
+}
 
 
 class TestInitialConfigs:
@@ -24,6 +76,21 @@ class TestInitialConfigs:
         mrf = proper_coloring_mrf(cycle_graph(7), 4)
         config = greedy_feasible_config(mrf, rng)
         assert mrf.is_feasible(config)
+
+    @pytest.mark.parametrize("name", sorted(GREEDY_MODELS))
+    def test_greedy_matches_frozen_implementation(self, name):
+        """Same output and same post-call RNG position as the original."""
+        mrf = GREEDY_MODELS[name]()
+        assert np.array_equal(
+            greedy_feasible_config(mrf), _frozen_greedy_feasible_config(mrf)
+        )
+        for seed in range(6):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(
+                greedy_feasible_config(mrf, ours),
+                _frozen_greedy_feasible_config(mrf, theirs),
+            )
+            assert ours.random() == theirs.random()
 
     def test_random_config_in_range(self, rng):
         mrf = proper_coloring_mrf(path_graph(5), 3)

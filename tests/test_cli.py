@@ -362,7 +362,9 @@ class TestParallelCli:
         assert code == 1
         assert "--samples" in capsys.readouterr().err
 
-    def test_fallback_prints_notice_not_warning(self, capsys):
+    def test_generic_model_prints_no_notice(self, capsys):
+        # Ising under the default local-metropolis method used to run on a
+        # sequential fallback announced by a stderr notice; it is batched now.
         code = main(
             [
                 "sample", "--model", "ising", "--graph", "path", "--size", "4",
@@ -370,8 +372,9 @@ class TestParallelCli:
             ]
         )
         assert code == 0
-        err = capsys.readouterr().err
-        assert "notice:" in err and "off the fast path" in err
+        captured = capsys.readouterr()
+        assert "feasible: 3/3" in captured.out
+        assert "notice:" not in captured.err and "fallback" not in captured.err
 
     def test_mix_with_jobs_emits_engine_and_jobs(self, capsys):
         code = main(
@@ -502,7 +505,7 @@ class TestSweepCli:
         captured = capsys.readouterr()
         table = json.loads(captured.out)
         assert table["schema"] == "repro.sweep/v1"
-        assert table["counts"] == {"total": 2, "ok": 2, "error": 0, "dedup": 0, "fallback": 0}
+        assert table["counts"] == {"total": 2, "ok": 2, "error": 0, "dedup": 0}
         for row in table["cells"]:
             assert row["checks"]["stationarity"]["passed"]
         assert "sweep tiny: 2 cells" in captured.err
@@ -529,7 +532,7 @@ class TestSweepCli:
         assert code == 0
         table = json.loads(capsys.readouterr().out)
         assert table["name"] == "smoke"
-        assert table["counts"] == {"total": 16, "ok": 16, "error": 0, "dedup": 0, "fallback": 0}
+        assert table["counts"] == {"total": 16, "ok": 16, "error": 0, "dedup": 0}
 
     def test_sweep_jobs_and_server_mutually_exclusive(self, capsys, tmp_path):
         code = main([

@@ -16,14 +16,13 @@ oracle, boundary clamping of the batched ``advance_region`` kernels, and
 the :func:`repro.api.mutate` / :func:`repro.api.resample_region` facades.
 """
 
-import warnings
-
 import networkx as nx
 import numpy as np
 import pytest
 
 import repro
 from repro.api import MUTATIONS, mutate, resample_region
+from repro.chains.ensemble import EnsembleLocalMetropolisMRF
 from repro.csp.builders import coloring_csp
 from repro.csp.model import Constraint, LocalCSP
 from repro.dynamic import (
@@ -80,15 +79,15 @@ def _add_edge(dyn: DynamicEnsemble) -> None:
     dyn.add_edge(2, 3)
 
 
-# One case per engine family: (models, mutation, method).  The fallback
-# row (field != 1 Ising under local-metropolis) exercises the sequential
-# oracle path of DynamicEnsemble.resample.
+# One case per engine family: (models, mutation, method).  The lm-mrf row
+# (field != 1 Ising under local-metropolis) runs EnsembleLocalMetropolisMRF,
+# whose region re-mix is the inherited heat-bath advance_region.
 EQUIVALENCE_CASES = {
     "coloring-luby-glauber": (_coloring_pair, _add_edge, "luby-glauber"),
     "coloring-local-metropolis": (_coloring_pair, _add_edge, "local-metropolis"),
     "mrf-glauber": (_ising_pair, _add_edge, "glauber"),
     "mrf-luby-glauber": (_ising_pair, _add_edge, "luby-glauber"),
-    "fallback-sequential": (
+    "lm-mrf": (
         lambda: _ising_pair(field=0.6),
         _add_edge,
         "local-metropolis",
@@ -100,16 +99,13 @@ EQUIVALENCE_CASES = {
 def test_incremental_resampling_matches_full_rerun(name):
     make_pair, apply_mutation, method = EQUIVALENCE_CASES[name]
     initial, mutated = make_pair()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the fallback row warns once
-        dyn = DynamicEnsemble(initial, 1200, method=method, radius=2, seed=SEED)
-        dyn.mix()
-        apply_mutation(dyn)
-        assert dyn.model_fingerprint() == mutated.model_fingerprint()
-        dyn.resample()
-        incremental = dyn.config
-        full = repro.sample_many(mutated, 1200, method=method, seed=SEED + 1)
-    assert_same_distribution(incremental, full, initial.q)
+    dyn = DynamicEnsemble(initial, 1200, method=method, radius=2, seed=SEED)
+    dyn.mix()
+    apply_mutation(dyn)
+    assert dyn.model_fingerprint() == mutated.model_fingerprint()
+    dyn.resample()
+    full = repro.sample_many(mutated, 1200, method=method, seed=SEED + 1)
+    assert_same_distribution(dyn.config, full, initial.q)
 
 
 @pytest.mark.parametrize("method", ["luby-glauber", "local-metropolis"])
@@ -413,16 +409,20 @@ class TestResampleRegionFacade:
         expected = engine.advance_region(6, [2, 3, 4]).config
         assert np.array_equal(out, expected)
 
-    def test_sequential_path_for_fallback_family(self):
+    def test_batched_path_for_general_mrf_local_metropolis(self):
+        # The former fallback family now re-mixes through the batched
+        # heat-bath advance_region of EnsembleLocalMetropolisMRF.
         model = ising_mrf(path_graph(4), beta=0.7, field=0.5)
         batch = np.zeros((8, 4), dtype=np.int64)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out = resample_region(
-                model, batch, [1, 2], rounds=4, method="local-metropolis", seed=SEED
-            )
-        assert out.shape == (8, 4)
-        assert np.array_equal(out[:, [0, 3]], batch[:, [0, 3]] * 0)
+        out = resample_region(
+            model, batch, [1, 2], rounds=4, method="local-metropolis", seed=SEED
+        )
+        engine = repro.make_ensemble(
+            model, 8, method="local-metropolis", seed=SEED, initial=batch
+        )
+        assert isinstance(engine, EnsembleLocalMetropolisMRF)
+        assert np.array_equal(out, engine.advance_region(4, [1, 2]).config)
+        assert np.array_equal(out[:, [0, 3]], batch[:, [0, 3]])
 
     def test_batch_validation(self):
         model = proper_coloring_mrf(cycle_graph(8), 4)

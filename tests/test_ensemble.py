@@ -13,15 +13,17 @@ Markov kernel as the corresponding sequential chain.  Validated three ways:
   independent-set update sets for LubyGlauber) hold in every replica.
 """
 
+import networkx as nx
 import numpy as np
 import pytest
 from statutils import assert_same_distribution, assert_stationary
 
 import repro
-from repro.chains import GlauberDynamics, LubyGlauberChain
+from repro.chains import GlauberDynamics, LocalMetropolisChain, LubyGlauberChain
 from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
     EnsembleLocalMetropolisColoring,
+    EnsembleLocalMetropolisMRF,
     EnsembleLubyGlauberColoring,
     EnsembleLubyGlauberMRF,
 )
@@ -29,10 +31,12 @@ from repro.chains.fastpaths import FastLocalMetropolisColoring
 from repro.errors import InfeasibleStateError, ModelError
 from repro.graphs import cycle_graph, grid_graph, is_independent_set, path_graph
 from repro.mrf import (
+    MRF,
     exact_gibbs_distribution,
     hardcore_mrf,
     ising_mrf,
     proper_coloring_mrf,
+    vertex_cover_mrf,
 )
 
 ENSEMBLE_COLORING_CLASSES = (
@@ -285,11 +289,24 @@ class TestSampleMany:
         assert np.array_equal(first, second)
 
     def test_generic_model_fallback(self):
+        """The former fallback case: a non-colouring MRF gets a batched
+        engine for every method, without a warning."""
+        import warnings
+
         mrf = ising_mrf(path_graph(4), beta=0.6, field=1.0)
-        for method in repro.METHODS:
-            batch = repro.sample_many(mrf, 4, method=method, rounds=12, seed=2)
-            assert batch.shape == (4, 4)
-            assert np.all((batch >= 0) & (batch < 2))
+        engines = {
+            "local-metropolis": EnsembleLocalMetropolisMRF,
+            "luby-glauber": EnsembleLubyGlauberMRF,
+            "glauber": EnsembleGlauberDynamics,
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for method in repro.METHODS:
+                ensemble = repro.make_ensemble(mrf, 4, method=method, seed=2)
+                assert type(ensemble) is engines[method]
+                batch = repro.sample_many(mrf, 4, method=method, rounds=12, seed=2)
+                assert batch.shape == (4, 4)
+                assert np.all((batch >= 0) & (batch < 2))
 
     def test_explicit_rounds_and_initial_batch(self):
         mrf = proper_coloring_mrf(cycle_graph(6), 5)
@@ -309,3 +326,70 @@ class TestSampleMany:
         gibbs = exact_gibbs_distribution(mrf)
         batch = repro.sample_many(mrf, 3000, rounds=60, seed=5)
         assert_stationary(batch, gibbs)
+
+
+def _heterogeneous_edge_mrf():
+    """4-cycle, three spins, three distinct edge tables (one used twice,
+    shared by identity) and per-vertex fields."""
+    graph = cycle_graph(4)
+    ferro = np.array([[2.0, 0.5, 1.0], [0.5, 2.0, 0.7], [1.0, 0.7, 1.5]])
+    anti = np.array([[0.4, 1.0, 1.0], [1.0, 0.4, 1.0], [1.0, 1.0, 0.4]])
+    hard = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    tables = {(0, 1): ferro, (1, 2): anti, (2, 3): ferro, (0, 3): hard}
+    fields = np.array([[1.0, 0.5, 2.0], [1.0, 1.0, 1.0], [0.3, 1.0, 1.0], [2.0, 1.0, 0.5]])
+    return MRF(graph, 3, tables, fields)
+
+
+LOCAL_METROPOLIS_MRF_MODELS = {
+    "hardcore": lambda: hardcore_mrf(cycle_graph(5), 1.5),
+    "ising-field": lambda: ising_mrf(path_graph(4), beta=0.8, field=1.4),
+    "vertex-cover": lambda: vertex_cover_mrf(cycle_graph(5), 2.0),
+    "heterogeneous": _heterogeneous_edge_mrf,
+    "edgeless": lambda: ising_mrf(nx.empty_graph(3), beta=0.5, field=0.6),
+}
+
+
+class TestLocalMetropolisMRF:
+    """Batched Algorithm 2 on general pairwise MRFs."""
+
+    @pytest.mark.parametrize("name", sorted(LOCAL_METROPOLIS_MRF_MODELS))
+    def test_matches_exact_gibbs(self, name):
+        mrf = LOCAL_METROPOLIS_MRF_MODELS[name]()
+        ensemble = EnsembleLocalMetropolisMRF(mrf, 4000, seed=21)
+        assert_stationary(ensemble.run(400), exact_gibbs_distribution(mrf))
+
+    @pytest.mark.parametrize("name", ["hardcore", "ising-field"])
+    def test_agrees_with_sequential_chain_from_shared_start(self, name):
+        """Same per-round kernel as LocalMetropolisChain: two-sample
+        homogeneity at matched rounds from one shared start (far from
+        stationarity at round 5)."""
+        mrf = LOCAL_METROPOLIS_MRF_MODELS[name]()
+        start = np.zeros(mrf.n, dtype=np.int64)
+        for rounds in (5, 20):
+            batched = EnsembleLocalMetropolisMRF(
+                mrf, 3000, initial=start, seed=22 + rounds
+            ).run(rounds)
+            sequential = np.stack(
+                [
+                    LocalMetropolisChain(mrf, initial=start, seed=5000 + i).run(rounds)
+                    for i in range(800)
+                ]
+            )
+            assert_same_distribution(batched, sequential, mrf.q)
+
+    def test_hard_constraints_keep_feasibility(self):
+        mrf = hardcore_mrf(grid_graph(4, 4), 2.0)
+        ensemble = repro.make_ensemble(mrf, 64, seed=23)
+        assert isinstance(ensemble, EnsembleLocalMetropolisMRF)
+        for _ in range(10):
+            ensemble.advance(3)
+            assert ensemble.is_feasible().all()
+
+    def test_region_advance_is_heat_bath_and_clamped(self):
+        mrf = ising_mrf(cycle_graph(6), beta=0.6, field=1.3)
+        start = np.zeros((16, 6), dtype=np.int64)
+        lm = EnsembleLocalMetropolisMRF(mrf, 16, initial=start, seed=24)
+        lg = EnsembleLubyGlauberMRF(mrf, 16, initial=start, seed=24)
+        moved = lm.advance_region(5, [1, 2, 3]).config
+        assert np.array_equal(moved, lg.advance_region(5, [1, 2, 3]).config)
+        assert np.array_equal(moved[:, [0, 4, 5]], start[:, [0, 4, 5]])

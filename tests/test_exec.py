@@ -19,6 +19,7 @@ import pytest
 
 import repro
 from repro.analysis.empirical import batch_tv_to_exact
+from repro.chains.ensemble import EnsembleLocalMetropolisMRF
 from repro.csp import dominating_set_csp, not_all_equal_csp
 from repro.errors import ExecError, FallbackEngineWarning, ModelError
 from repro.exec import (
@@ -93,6 +94,7 @@ SHARDED_CASES = {
     "coloring-lm": (_coloring, "local-metropolis"),
     "coloring-lg": (_coloring, "luby-glauber"),
     "glauber": (lambda: ising_mrf(path_graph(5), beta=0.8, field=0.3), "glauber"),
+    "mrf-lm": (lambda: ising_mrf(path_graph(5), beta=0.8, field=0.3), "local-metropolis"),
     "csp-lm": (_csp, "local-metropolis"),
     "csp-lg": (lambda: dominating_set_csp(cycle_graph(6)), "luby-glauber"),
 }
@@ -227,14 +229,17 @@ def test_sharded_rejects_generator_seeds_and_bad_workers():
 
 
 # ----------------------------------------------------------------------
-# fallback warnings
+# fallback warnings: no longer emitted, every pair is batched
 # ----------------------------------------------------------------------
 class TestFallbackWarning:
-    def test_generic_model_warns(self, path3_ising):
-        with pytest.warns(FallbackEngineWarning, match="off the fast path"):
-            repro.make_ensemble(path3_ising, 3, seed=1)
-        with pytest.warns(FallbackEngineWarning):
+    def test_generic_model_is_batched_and_silent(self, path3_ising):
+        import warnings as warnings_module
+
+        with warnings_module.catch_warnings():
+            warnings_module.simplefilter("error", FallbackEngineWarning)
+            ensemble = repro.make_ensemble(path3_ising, 3, seed=1)
             repro.sample_many(path3_ising, 3, rounds=2, seed=1)
+        assert isinstance(ensemble, EnsembleLocalMetropolisMRF)
 
     def test_fast_path_pairs_do_not_warn(self, path3_ising):
         import warnings as warnings_module
@@ -245,16 +250,14 @@ class TestFallbackWarning:
             repro.make_ensemble(_csp(), 3, seed=1)
             repro.make_ensemble(path3_ising, 3, method="glauber", seed=1)
 
-    def test_sharded_fallback_warns_once_from_the_facade(self, path3_ising):
+    def test_sharded_generic_model_does_not_warn(self, path3_ising):
         import warnings as warnings_module
 
         with warnings_module.catch_warnings(record=True) as caught:
-            warnings_module.simplefilter("always", FallbackEngineWarning)
-            repro.sample_many(path3_ising, 4, rounds=2, seed=1, parallel=0)
-        fallback = [
-            w for w in caught if issubclass(w.category, FallbackEngineWarning)
-        ]
-        assert len(fallback) == 1
+            warnings_module.simplefilter("always")
+            batch = repro.sample_many(path3_ising, 4, rounds=2, seed=1, parallel=0)
+        assert batch.shape == (4, 3)
+        assert not [w for w in caught if issubclass(w.category, FallbackEngineWarning)]
 
 
 # ----------------------------------------------------------------------

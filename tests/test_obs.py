@@ -24,6 +24,7 @@ import math
 import re
 import time
 
+import numpy as np
 import pytest
 
 import repro
@@ -232,20 +233,19 @@ class TestEnableGating:
 
 
 class TestFallbackCounter:
-    def test_fallback_warning_counted_unconditionally(self, path3_ising):
-        # Probes are OFF here: the fallback counter is cold-path
-        # accounting and must record regardless.
-        assert repro.obs.enabled() is False
-        with pytest.warns(FallbackEngineWarning):
-            repro.make_ensemble(path3_ising, 3, seed=1)
-        counters = [
-            c
-            for c in repro.obs.snapshot()["counters"]
-            if c["name"] == "repro_fallback_engines_total"
-        ]
-        assert len(counters) == 1
-        assert counters[0]["value"] == 1.0
-        assert counters[0]["labels"]["method"] == "local-metropolis"
+    def test_generic_model_records_no_fallback(self, path3_ising):
+        # The general-MRF LocalMetropolis pair is batched now: no warning
+        # and no fallback counter, with probes on or off.
+        import warnings
+
+        for enabled in (False, True):
+            if enabled:
+                repro.obs.enable()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", FallbackEngineWarning)
+                repro.make_ensemble(path3_ising, 3, seed=1).advance(2)
+            names = {c["name"] for c in repro.obs.snapshot()["counters"]}
+            assert not any("fallback" in name for name in names)
 
 
 # ----------------------------------------------------------------------
@@ -393,21 +393,18 @@ class TestServeSurface:
             latency = stats["latency"]
             assert latency["count"] >= 1
             assert latency["p50_s"] <= latency["p90_s"] <= latency["p99_s"]
-            assert stats["jobs"]["fallback"] == 0
+            assert set(stats["jobs"]) == {"submitted", "completed", "failed", "rejected"}
 
-    def test_fallback_jobs_counted_in_stats(self, path3_ising):
+    def test_generic_model_jobs_have_no_fallback_accounting(self, path3_ising):
         spec = JobSpec.sample_many(
             path3_ising, 4, method="local-metropolis", rounds=2, seed=1
         )
         with ReproServer(workers=1, cache_capacity=4, max_pending=8) as srv:
             client = ServeClient(*srv.address)
-            client.run(spec)
-            stats = client.stats()
-            assert stats["jobs"]["fallback"] == 1
-            # A cache hit never reaches the pool, so the count stays put.
-            client.run(spec)
-            assert client.stats()["jobs"]["fallback"] == 1
-            assert "repro_serve_fallback_jobs_total" in client.metrics()
+            batch = client.run(spec)
+            assert np.array_equal(batch, spec.run())
+            assert "fallback" not in client.stats()["jobs"]
+            assert "fallback" not in client.metrics()
 
 
 # ----------------------------------------------------------------------
@@ -416,7 +413,7 @@ class TestServeSurface:
 
 
 class TestSweepFallbackColumn:
-    def test_fallback_cells_flagged_and_counted(self):
+    def test_no_fallback_column_or_count(self):
         from repro.sweep import expand_grid, run_sweep
 
         grid = expand_grid(
@@ -439,9 +436,12 @@ class TestSweepFallbackColumn:
                 }
             }
         )
-        with pytest.warns(FallbackEngineWarning):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FallbackEngineWarning)
             sweep = run_sweep(grid, mode="local", checks=False)
-        flagged = {row["coords"]["model"]: row["fallback"] for row in sweep.rows}
-        assert any(flagged.values()) and not all(flagged.values())
-        assert sweep.counts["fallback"] == sum(flagged.values())
-        assert sweep.counts["fallback"] == sweep.table["counts"]["fallback"]
+        assert [row["status"] for row in sweep.rows] == ["ok", "ok"]
+        assert not any("fallback" in row for row in sweep.rows)
+        assert sweep.counts == {"total": 2, "ok": 2, "error": 0, "dedup": 0}
+        assert sweep.table["counts"] == sweep.counts
