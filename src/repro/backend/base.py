@@ -202,10 +202,6 @@ class ArrayBackend(ABC):
         """Elementwise minimum."""
 
     @abstractmethod
-    def flip(self, a, axis):
-        """Reverse ``a`` along ``axis``."""
-
-    @abstractmethod
     def sum(self, a, axis=None):
         """Sum (bool inputs count as int)."""
 

@@ -116,9 +116,6 @@ class NumpyBackend(ArrayBackend):
     def minimum(self, a, b):
         return np.minimum(a, b)
 
-    def flip(self, a, axis):
-        return np.flip(a, axis=axis)
-
     def sum(self, a, axis=None):
         return np.sum(a, axis=axis)
 

@@ -214,9 +214,6 @@ class TorchBackend(ArrayBackend):
     def minimum(self, a, b):
         return self.torch.minimum(a, b)
 
-    def flip(self, a, axis):
-        return self.torch.flip(a, dims=(axis,))
-
     def sum(self, a, axis=None):
         if a.dtype is self.torch.bool:
             a = a.to(self.torch.int64)

@@ -689,12 +689,7 @@ def _command_dynamic(args: argparse.Namespace) -> int:
 
     def toggle(op, detail):
         region = int(dyn.pending_region.size)
-        kernel = (
-            args.method
-            if hasattr(dyn.engine, "advance_region")
-            else "glauber"
-        )
-        rounds = region_round_budget(dyn.model, kernel, region, args.eps)
+        rounds = region_round_budget(dyn.model, args.method, region, args.eps)
         dyn.resample()
         batch = dyn.config
         feasible = sum(1 for row in batch if dyn.model.is_feasible(row))
