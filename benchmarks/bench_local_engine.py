@@ -3,16 +3,17 @@
 The reference engine (`engine="reference"`) executes every round as
 per-vertex Python dict message passing — the executable *definition* of the
 LOCAL model.  The vectorized engine (`engine="vectorized"`) runs the same
-per-round Markov kernel as whole-graph array operations.  This experiment
+per-round Markov kernel as the batched ensemble engine at one replica.  This experiment
 measures rounds/sec of both engines for both paper protocols (LubyGlauber,
 LocalMetropolis) on random 6-regular colouring instances at
 n ∈ {1024, 4096, 16384}, and asserts the tentpole acceptance criterion:
 the vectorized engine is ≥ 10x the reference engine's rounds/sec for
 LubyGlauber at n = 4096.
 
-Timings are end-to-end per engine invocation (private-input slicing and
-table building included), so the speedup is what a round-complexity
-experiment actually gains.  Set ``REPRO_BENCH_SMOKE=1`` for CI-smoke sizes;
+Timings are end-to-end per engine invocation (the reference engine's
+private-input slicing and the vectorized engine's ensemble construction
+included), so the speedup is what a round-complexity experiment actually
+gains.  Set ``REPRO_BENCH_SMOKE=1`` for CI-smoke sizes;
 the 10x assertion is only enforced at full size.
 """
 

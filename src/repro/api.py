@@ -74,11 +74,12 @@ MUTATIONS = {
 METHODS = ("local-metropolis", "luby-glauber", "glauber")
 
 #: Execution engines for :func:`sample`.  ``"chain"`` advances a global
-#: configuration directly (the analyst's view; fastest for one sample);
-#: ``"reference"`` and ``"vectorized"`` execute the genuine LOCAL-model
-#: message-passing protocol of :mod:`repro.distributed` on the
-#: :mod:`repro.local` runtime — per-node dict semantics vs whole-graph
-#: array rounds respectively.
+#: configuration directly (the analyst's view; fastest for one sample).
+#: ``"reference"`` executes the genuine LOCAL-model message-passing
+#: protocol of :mod:`repro.distributed` node by node on the
+#: :mod:`repro.local` runtime; ``"vectorized"`` runs the same per-round
+#: kernel as the :func:`make_ensemble` engine at R=1, with analytic round
+#: and message accounting.
 ENGINES = ("chain", "reference", "vectorized")
 
 #: Safety factor applied to the heuristic round budgets.  The paper's
@@ -161,11 +162,13 @@ def sample(
         Chain seeding and starting configuration.
     engine:
         ``"chain"`` (default) advances a global configuration directly;
-        ``"reference"`` / ``"vectorized"`` run the LOCAL-model
-        message-passing protocol on the corresponding runtime engine.  The
-        two distributed methods support all three engines on MRFs and the
-        reference engine on CSPs; ``"glauber"`` has no LOCAL protocol and
-        only supports ``"chain"``.
+        ``"reference"`` runs the LOCAL-model message-passing protocol node
+        by node, and ``"vectorized"`` runs the same protocol's kernel as
+        the :func:`make_ensemble` engine at R=1 (see
+        :mod:`repro.distributed.sampling_protocols`).  The two distributed
+        methods support all three engines on MRFs and the reference engine
+        on CSPs; ``"glauber"`` has no LOCAL protocol and only supports
+        ``"chain"``.
 
     Returns
     -------

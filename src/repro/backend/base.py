@@ -1,7 +1,7 @@
 """The array-ops interface every execution backend implements.
 
-The replica-ensemble engines (:mod:`repro.chains.ensemble`) and the
-vectorized LOCAL runtime (:mod:`repro.local.vectorized`) express their hot
+The replica-ensemble engines (:mod:`repro.chains.ensemble`), which also
+serve the ``engine="vectorized"`` LOCAL samplers at R=1, express their hot
 loops as a small set of kernel primitives — CSR gathers/scatters, sparse
 matmuls, flat gathers, segmented products, inverse-CDF sampling — over
 ``(R, n)``-batched arrays.  :class:`ArrayBackend` names exactly those
@@ -136,16 +136,8 @@ class ArrayBackend(ABC):
         """Row-major ``(i, j)`` index arrays of the True entries of a 2-D mask."""
 
     @abstractmethod
-    def nonzero1d(self, mask):
-        """Indices of the True entries of a 1-D mask."""
-
-    @abstractmethod
     def repeat(self, a, repeats):
         """``np.repeat``: element ``a[i]`` repeated ``repeats[i]`` times."""
-
-    @abstractmethod
-    def concatenate(self, parts):
-        """Concatenate 1-D arrays."""
 
     @abstractmethod
     def bincount(self, x, minlength):
@@ -192,10 +184,6 @@ class ArrayBackend(ABC):
     @abstractmethod
     def where(self, cond, a, b):
         """Elementwise select (broadcasting)."""
-
-    @abstractmethod
-    def clip(self, a, lo, hi):
-        """Elementwise clamp into ``[lo, hi]``."""
 
     @abstractmethod
     def minimum(self, a, b):

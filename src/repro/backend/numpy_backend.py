@@ -77,14 +77,8 @@ class NumpyBackend(ArrayBackend):
     def nonzero_pairs(self, mask):
         return np.nonzero(mask)
 
-    def nonzero1d(self, mask):
-        return np.nonzero(mask)[0]
-
     def repeat(self, a, repeats):
         return np.repeat(a, repeats)
-
-    def concatenate(self, parts):
-        return np.concatenate(parts)
 
     def bincount(self, x, minlength):
         return np.bincount(x, minlength=minlength)
@@ -109,9 +103,6 @@ class NumpyBackend(ArrayBackend):
     # ------------------------------------------------------------------
     def where(self, cond, a, b):
         return np.where(cond, a, b)
-
-    def clip(self, a, lo, hi):
-        return np.clip(a, lo, hi)
 
     def minimum(self, a, b):
         return np.minimum(a, b)

@@ -157,14 +157,8 @@ class TorchBackend(ArrayBackend):
         pairs = self.torch.nonzero(mask, as_tuple=True)
         return pairs[0], pairs[1]
 
-    def nonzero1d(self, mask):
-        return self.torch.nonzero(mask, as_tuple=True)[0]
-
     def repeat(self, a, repeats):
         return self.torch.repeat_interleave(a, repeats)
-
-    def concatenate(self, parts):
-        return self.torch.cat(tuple(parts))
 
     def bincount(self, x, minlength):
         return self.torch.bincount(x, minlength=minlength)
@@ -207,9 +201,6 @@ class TorchBackend(ArrayBackend):
     # ------------------------------------------------------------------
     def where(self, cond, a, b):
         return self.torch.where(cond, a, b)
-
-    def clip(self, a, lo, hi):
-        return self.torch.clamp(a, lo, hi)
 
     def minimum(self, a, b):
         return self.torch.minimum(a, b)

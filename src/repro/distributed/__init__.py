@@ -19,8 +19,6 @@ from repro.distributed.csp_protocols import (
 from repro.distributed.sampling_protocols import (
     LocalMetropolisProtocol,
     LubyGlauberProtocol,
-    VectorizedLocalMetropolis,
-    VectorizedLubyGlauber,
     run_local_metropolis_protocol,
     run_luby_glauber_protocol,
 )
@@ -30,8 +28,6 @@ __all__ = [
     "LocalMetropolisProtocol",
     "LubyGlauberCSPProtocol",
     "LubyGlauberProtocol",
-    "VectorizedLocalMetropolis",
-    "VectorizedLubyGlauber",
     "run_local_metropolis_csp_protocol",
     "run_local_metropolis_protocol",
     "run_luby_glauber_csp_protocol",

@@ -18,30 +18,40 @@ the edge coin of ``uv`` is the shared uniform value ``(r_u + r_v) mod 1`` —
 both endpoints compute the identical value, realising the paper's
 requirement that "the two endpoints access the same random coin".  Node
 ``v`` accepts its proposal iff every incident edge check passes.
+
+Both runners take ``engine="reference"`` (the protocols above, node by node
+on :func:`repro.local.runtime.run_protocol`) or ``engine="vectorized"``:
+the replica-ensemble kernel :func:`repro.api.make_ensemble` picks for the
+model, advanced at R=1.  That kernel is the same per-round Markov chain,
+one LOCAL round per step, drawing from one shared stream instead of ``n``
+per-node ones; since every round each vertex sends one constant-size
+message to each neighbour, its :class:`~repro.local.runtime.RunStats` are
+computed analytically and equal the reference engine's measured ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Any
 
 import numpy as np
 
+from repro.chains.base import SeedLike, as_seed_sequence, greedy_feasible_config
 from repro.chains.glauber import sample_spin
-from repro.chains.sampling import inverse_cdf, inverse_cdf_spin
+from repro.chains.sampling import inverse_cdf_spin
 from repro.errors import ProtocolError
 from repro.local.network import Network
 from repro.local.protocol import NodeContext, Protocol
 from repro.local.runtime import RunStats, run_protocol
-from repro.local.vectorized import VectorizedContext, VectorizedProtocol
 from repro.mrf.model import MRF
+from repro.obs import metrics as _obs_metrics
+from repro.obs import trace as _obs_trace
 
 __all__ = [
     "SamplingInput",
     "LubyGlauberProtocol",
     "LocalMetropolisProtocol",
-    "VectorizedLubyGlauber",
-    "VectorizedLocalMetropolis",
     "run_luby_glauber_protocol",
     "run_local_metropolis_protocol",
     "make_private_inputs",
@@ -91,6 +101,9 @@ def make_private_inputs(mrf: MRF, initial: np.ndarray) -> list[SamplingInput]:
 class LubyGlauberProtocol(Protocol):
     """Algorithm 1 as a LOCAL protocol; one iteration per communication round."""
 
+    method = "luby-glauber"
+    message_atoms = 2  # (rank, spin)
+
     def initialize(self, ctx: NodeContext) -> None:
         inp: SamplingInput = ctx.private_input
         if inp is None:
@@ -125,12 +138,12 @@ class LubyGlauberProtocol(Protocol):
     def finalize(self, ctx: NodeContext) -> int:
         return int(ctx.state["spin"])
 
-    def as_vectorized(self) -> VectorizedProtocol:
-        return VectorizedLubyGlauber()
-
 
 class LocalMetropolisProtocol(Protocol):
     """Algorithm 2 as a LOCAL protocol; one iteration per communication round."""
+
+    method = "local-metropolis"
+    message_atoms = 3  # (proposal, spin, coin share)
 
     def initialize(self, ctx: NodeContext) -> None:
         inp: SamplingInput = ctx.private_input
@@ -174,195 +187,67 @@ class LocalMetropolisProtocol(Protocol):
     def finalize(self, ctx: NodeContext) -> int:
         return int(ctx.state["spin"])
 
-    def as_vectorized(self) -> VectorizedProtocol:
-        return VectorizedLocalMetropolis()
+
+_ENGINES = ("reference", "vectorized")
 
 
-class _VectorizedSamplingBase(VectorizedProtocol):
-    """Shared array assembly for the two vectorized sampling protocols.
-
-    ``initialize`` slices the :class:`SamplingInput` list into the state
-    arrays every round handler needs: the spin vector, the ``(n, q)``
-    vertex-activity table, and (via ``_build_tables``) the protocol-specific
-    edge-activity stacks.  Duplicate activity matrices are deduplicated by
-    content so shared-matrix models (colourings, Ising) store one matrix,
-    not one per edge.
-    """
-
-    def initialize(self, ctx: VectorizedContext) -> None:
-        inputs = ctx.private_inputs
-        if any(inp is None for inp in inputs):
-            raise ProtocolError(f"{type(self).__name__} needs SamplingInput private inputs")
-        q = inputs[0].q if ctx.n else 1
-        ctx.state["q"] = q
-        vertex_activity = np.zeros((ctx.n, q), dtype=float)
-        for v, inp in enumerate(inputs):
-            vertex_activity[v] = inp.vertex_activity
-        ctx.state["vertex_activity"] = vertex_activity
-        self._build_tables(ctx)
-        # Round-handler state lives on the backend device; the numpy
-        # originals above stay host-side for setup code.
-        ctx.state["spins"] = ctx.xp.asarray(
-            np.array([inp.initial_spin for inp in inputs], dtype=np.int64)
+def _run_sampling_protocol(
+    protocol: LubyGlauberProtocol | LocalMetropolisProtocol,
+    mrf: MRF,
+    rounds: int,
+    seed: SeedLike,
+    initial: np.ndarray | None,
+    engine: str,
+    collect_stats: bool,
+    backend: str | None,
+) -> tuple[np.ndarray, RunStats]:
+    """Run ``protocol`` on ``engine`` (module docstring); shared by both runners."""
+    if engine not in _ENGINES:
+        raise ProtocolError(f"unknown engine {engine!r}; choose from {_ENGINES}")
+    if initial is None:
+        initial = greedy_feasible_config(mrf)
+    if engine == "reference":
+        outputs, stats = run_protocol(
+            protocol,
+            Network(mrf.graph),
+            rounds,
+            seed=seed,
+            private_inputs=make_private_inputs(mrf, initial),
+            collect_stats=collect_stats,
         )
-        ctx.state["vertex_activity_d"] = ctx.xp.asarray(vertex_activity)
+        return np.asarray(outputs, dtype=np.int64), stats
 
-    def _build_tables(self, ctx: VectorizedContext) -> None:  # pragma: no cover
-        raise NotImplementedError
+    from repro.api import make_ensemble
 
-    def finalize(self, ctx: VectorizedContext) -> np.ndarray:
-        return ctx.xp.to_numpy(ctx.state["spins"]).copy()
-
-    @staticmethod
-    def _dedup(matrix: np.ndarray, stack: list[np.ndarray], seen: dict[bytes, int]) -> int:
-        """Index of ``matrix`` in ``stack``, appending it on first sight."""
-        matrix = np.ascontiguousarray(matrix, dtype=float)
-        key = matrix.tobytes()
-        if key not in seen:
-            seen[key] = len(stack)
-            stack.append(matrix)
-        return seen[key]
-
-
-class VectorizedLubyGlauber(_VectorizedSamplingBase):
-    """Algorithm 1 with whole-graph array rounds.
-
-    Same per-round kernel as :class:`LubyGlauberProtocol` — i.i.d. ranks,
-    strict local maxima form the update set, winners redraw from the
-    conditional marginal (paper eq. (2)) — with the per-vertex loops
-    replaced by edge-array comparisons and a padded-neighbour gather.
-    """
-
-    message_atoms = 2  # (rank, spin)
-
-    def _build_tables(self, ctx: VectorizedContext) -> None:
-        # Padded neighbour table (-1 pad) plus per-slot indices into the
-        # deduplicated stack of normalised edge-activity matrices.
-        n, q = ctx.n, ctx.state["q"]
-        width = max(ctx.delta_bound, 1)
-        pad = np.full((n, width), -1, dtype=np.int64)
-        act_idx = np.zeros((n, width), dtype=np.int64)
-        stack: list[np.ndarray] = []
-        seen: dict[bytes, int] = {}
-        for v, inp in enumerate(ctx.private_inputs):
-            for k, u in enumerate(sorted(inp.edge_activities)):
-                pad[v, k] = u
-                act_idx[v, k] = self._dedup(inp.edge_activities[u], stack, seen)
-        xp = ctx.xp
-        ctx.state["neighbour_pad"] = xp.asarray(pad)
-        ctx.state["activity_index"] = xp.asarray(act_idx)
-        ctx.state["activities"] = xp.asarray(
-            np.stack(stack) if stack else np.ones((1, q, q))
-        )
-
-    def round(self, ctx: VectorizedContext, round_index: int) -> None:
-        xp = ctx.xp
-        spins = ctx.state["spins"]
-        # Luby step: every node draws a rank; strict local maxima update
-        # (ties lose on both sides, as in the reference protocol).
-        ranks = xp.random(ctx.rng, ctx.n)
-        loses = xp.zeros(ctx.n, dtype=bool)
-        if ctx.m:
-            ru = ranks[ctx.edge_u_d]
-            rv = ranks[ctx.edge_v_d]
-            loses[ctx.edge_u_d[ru <= rv]] = True
-            loses[ctx.edge_v_d[rv <= ru]] = True
-        selected = xp.nonzero1d(~loses)
-        if int(selected.shape[0]) == 0:
-            return
-        # Heat-bath redraw: conditional weights b_v(c) * prod_u A_uv(c, X_u),
-        # assembled one padded neighbour position at a time (bounded by Delta).
-        weights = xp.take_rows(ctx.state["vertex_activity_d"], selected)
-        pad = ctx.state["neighbour_pad"]
-        act_idx = ctx.state["activity_index"]
-        activities = ctx.state["activities"]
-        for k in range(int(pad.shape[1])):
-            neighbour = pad[selected, k]
-            valid = neighbour >= 0
-            if not xp.any(valid):
-                break  # pad is left-filled: later positions are empty too
-            neighbour_spins = spins[neighbour[valid]]
-            weights[valid] *= activities[
-                act_idx[selected[valid], k], :, neighbour_spins
-            ]
-        totals = xp.sum(weights, axis=1)
-        if xp.any(totals <= 0.0):
-            bad = int(selected[xp.argmax(totals <= 0.0)])
-            raise ProtocolError(
-                f"node {bad}: conditional marginal undefined "
-                "(Glauber well-definedness assumption violated)"
-            )
-        cdf = xp.cumsum(weights, axis=1)
-        draws = xp.random(ctx.rng, int(selected.shape[0])) * totals
-        spins[selected] = inverse_cdf(cdf.T, draws, xp)
-
-
-class VectorizedLocalMetropolis(_VectorizedSamplingBase):
-    """Algorithm 2 with whole-graph array rounds.
-
-    Same per-round kernel as :class:`LocalMetropolisProtocol`: per-node
-    proposals drawn proportional to ``b_v``, one shared edge coin
-    ``(r_u + r_v) mod 1`` per edge, the three-factor activity check of
-    Algorithm 2 line 6 evaluated for all edges at once, and a vertex
-    accepts iff no incident edge failed.
-    """
-
-    message_atoms = 3  # (proposal, spin, coin share)
-
-    def _build_tables(self, ctx: VectorizedContext) -> None:
-        # Per-edge indices into the deduplicated stack of normalised
-        # edge-activity matrices, aligned with ctx.edge_u / ctx.edge_v, plus
-        # the per-vertex proposal CDFs.
-        q = ctx.state["q"]
-        stack: list[np.ndarray] = []
-        seen: dict[bytes, int] = {}
-        edge_idx = np.zeros(ctx.m, dtype=np.int64)
-        for e in range(ctx.m):
-            u, v = int(ctx.edge_u[e]), int(ctx.edge_v[e])
-            edge_idx[e] = self._dedup(
-                ctx.private_inputs[v].edge_activities[u], stack, seen
-            )
-        xp = ctx.xp
-        ctx.state["edge_activity_index"] = xp.asarray(edge_idx)
-        ctx.state["activities"] = xp.asarray(
-            np.stack(stack) if stack else np.ones((1, q, q))
-        )
-        vertex_activity = ctx.state["vertex_activity"]
-        totals = vertex_activity.sum(axis=1, keepdims=True)
-        # Spin-major (q, n), the layout inverse_cdf reduces over.
-        ctx.state["proposal_cdf"] = xp.asarray(
-            np.cumsum(vertex_activity / totals, axis=1).T.copy()
-            if ctx.n
-            else np.zeros((q, 0))
-        )
-
-    def round(self, ctx: VectorizedContext, round_index: int) -> None:
-        xp = ctx.xp
-        spins = ctx.state["spins"]
-        # Proposals via vectorised inverse-CDF — identical semantics to the
-        # reference's per-node inverse_cdf_spin.
-        proposals = inverse_cdf(ctx.state["proposal_cdf"], xp.random(ctx.rng, ctx.n), xp)
-        shares = xp.random(ctx.rng, ctx.n)
-        if ctx.m == 0:
-            spins[...] = proposals
-            return
-        activities = ctx.state["activities"]
-        edge_idx = ctx.state["edge_activity_index"]
-        pu = proposals[ctx.edge_u_d]
-        pv = proposals[ctx.edge_v_d]
-        xu = spins[ctx.edge_u_d]
-        xv = spins[ctx.edge_v_d]
-        # Paper Algorithm 2 line 6 — both endpoints of uv evaluate the same
-        # three-factor product (the matrices are symmetric).
-        probability = (
-            activities[edge_idx, pu, pv]
-            * activities[edge_idx, xu, pv]
-            * activities[edge_idx, pu, xv]
-        )
-        coin = (shares[ctx.edge_u_d] + shares[ctx.edge_v_d]) % 1.0
-        failed = coin >= probability
-        blocked = ctx.scatter_edge_flags(failed) > 0
-        ctx.state["spins"] = xp.where(blocked, spins, proposals)
+    ensemble = make_ensemble(
+        mrf,
+        1,
+        method=protocol.method,
+        seed=as_seed_sequence(seed),
+        initial=initial,
+        backend=backend,
+    )
+    rounds = int(rounds)
+    name, backend_name = type(protocol).__name__, ensemble.xp.name
+    with _obs_trace.span(
+        "local.run_vectorized", protocol=name, n=mrf.n, rounds=rounds, backend=backend_name
+    ):
+        start = perf_counter()
+        ensemble.advance(rounds)
+        elapsed = perf_counter() - start
+    # Every round each vertex messages each neighbour: 2m messages.
+    round_messages = 2 * len(mrf.edges)
+    stats = RunStats(rounds=rounds, messages=round_messages * rounds)
+    if collect_stats:
+        stats.messages_per_round = [round_messages] * rounds
+        if stats.messages:
+            stats.max_message_atoms = protocol.message_atoms
+    if _obs_metrics.enabled and rounds:
+        labels = {"protocol": name, "backend": backend_name}
+        _obs_metrics.inc("repro_local_rounds_total", stats.rounds, **labels)
+        _obs_metrics.inc("repro_local_messages_total", stats.messages, **labels)
+        _obs_metrics.inc("repro_local_seconds_total", elapsed, **labels)
+    return ensemble.config[0], stats
 
 
 def run_luby_glauber_protocol(
@@ -375,22 +260,9 @@ def run_luby_glauber_protocol(
     backend: str | None = None,
 ) -> tuple[np.ndarray, RunStats]:
     """Run Algorithm 1 on the LOCAL runtime; return (configuration, stats)."""
-    network = Network(mrf.graph)
-    if initial is None:
-        from repro.chains.base import greedy_feasible_config
-
-        initial = greedy_feasible_config(mrf)
-    outputs, stats = run_protocol(
-        LubyGlauberProtocol(),
-        network,
-        rounds,
-        seed=seed,
-        private_inputs=make_private_inputs(mrf, initial),
-        engine=engine,
-        collect_stats=collect_stats,
-        backend=backend,
+    return _run_sampling_protocol(
+        LubyGlauberProtocol(), mrf, rounds, seed, initial, engine, collect_stats, backend
     )
-    return np.asarray(outputs, dtype=np.int64), stats
 
 
 def run_local_metropolis_protocol(
@@ -403,19 +275,6 @@ def run_local_metropolis_protocol(
     backend: str | None = None,
 ) -> tuple[np.ndarray, RunStats]:
     """Run Algorithm 2 on the LOCAL runtime; return (configuration, stats)."""
-    network = Network(mrf.graph)
-    if initial is None:
-        from repro.chains.base import greedy_feasible_config
-
-        initial = greedy_feasible_config(mrf)
-    outputs, stats = run_protocol(
-        LocalMetropolisProtocol(),
-        network,
-        rounds,
-        seed=seed,
-        private_inputs=make_private_inputs(mrf, initial),
-        engine=engine,
-        collect_stats=collect_stats,
-        backend=backend,
+    return _run_sampling_protocol(
+        LocalMetropolisProtocol(), mrf, rounds, seed, initial, engine, collect_stats, backend
     )
-    return np.asarray(outputs, dtype=np.int64), stats

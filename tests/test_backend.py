@@ -256,7 +256,6 @@ class TestTorchKernelParity:
         for op, exact in [
             (lambda xp: xp.take_rows(xp.asarray(ints), xp.asarray(rows)), True),
             (lambda xp: xp.where(xp.asarray(ints % 2 == 0), xp.asarray(ints), 0), True),
-            (lambda xp: xp.clip(xp.asarray(ints) - 2, 0, 3), True),
             (lambda xp: xp.minimum(xp.asarray(ints), xp.asarray(other)), True),
             (lambda xp: xp.sum(xp.asarray(ints <= 2), axis=1), True),
             (lambda xp: xp.cumsum(xp.asarray(floats), axis=1), False),
@@ -317,9 +316,6 @@ class TestTorchKernelParity:
         alt_rows, alt_cols = alt.nonzero_pairs(alt.asarray(flags))
         np.testing.assert_array_equal(ref_rows, alt.to_numpy(alt_rows))
         np.testing.assert_array_equal(ref_cols, alt.to_numpy(alt_cols))
-        np.testing.assert_array_equal(
-            ref.nonzero1d(flags[:, 0]), alt.to_numpy(alt.nonzero1d(alt.asarray(flags[:, 0])))
-        )
 
     def test_rng_bridge_is_stream_identical(self, backends):
         """Both backends consume the SAME numpy Generator draws, in order."""

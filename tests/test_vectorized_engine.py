@@ -1,6 +1,6 @@
-"""Tests for the vectorized LOCAL engine and the runtime's engine dispatch.
+"""Tests for the two engines of the paper's LOCAL-model sampler runners.
 
-The contract under test (see :mod:`repro.local.vectorized`):
+The contract under test (see :mod:`repro.distributed.sampling_protocols`):
 
 * **exact accounting** — ``RunStats.rounds`` / ``messages`` /
   ``messages_per_round`` / ``max_message_atoms`` match the reference
@@ -8,7 +8,8 @@ The contract under test (see :mod:`repro.local.vectorized`):
 * **distributional equivalence** — at matched round budgets the two
   engines realise the same per-round Markov kernel, so their output
   distributions agree (within sampling tolerance) even though the
-  vectorized engine consumes randomness from one shared stream.
+  vectorized engine (the ensemble kernel at R=1) consumes randomness from
+  one shared stream.
 """
 
 import numpy as np
@@ -16,26 +17,20 @@ import pytest
 
 import repro
 from repro.analysis import empirical_distribution
+from repro.backend import NumpyBackend, resolve_backend_name
 from repro.distributed import (
     run_local_metropolis_protocol,
     run_luby_glauber_protocol,
 )
-from repro.distributed.sampling_protocols import (
-    LocalMetropolisProtocol,
-    LubyGlauberProtocol,
-    VectorizedLocalMetropolis,
-    VectorizedLubyGlauber,
-    make_private_inputs,
-)
 from repro.errors import ModelError, ProtocolError
 from repro.graphs import cycle_graph, grid_graph, path_graph
-from repro.local import Network, run_protocol
 from repro.mrf import (
     exact_gibbs_distribution,
     hardcore_mrf,
     ising_mrf,
     proper_coloring_mrf,
 )
+from repro.obs import metrics
 
 RUNNERS = (run_luby_glauber_protocol, run_local_metropolis_protocol)
 
@@ -46,58 +41,50 @@ class TestEngineDispatch:
         with pytest.raises(ProtocolError, match="unknown engine"):
             run_luby_glauber_protocol(mrf, rounds=1, seed=0, engine="gpu")
 
-    def test_protocol_without_vectorized_form_rejected(self):
-        class Dictless(LubyGlauberProtocol):
-            def as_vectorized(self):
-                return None
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_backend_reaches_the_kernel(self, runner, monkeypatch):
+        import repro.backend as backend_mod
 
-        mrf = proper_coloring_mrf(path_graph(3), 3)
-        with pytest.raises(ProtocolError, match="no vectorized form"):
-            run_protocol(
-                Dictless(),
-                Network(mrf.graph),
-                rounds=1,
-                seed=0,
-                private_inputs=make_private_inputs(mrf, np.zeros(3, dtype=int)),
-                engine="vectorized",
-            )
+        draws = []
 
-    def test_vectorized_protocol_accepted_directly(self):
+        class Counting(NumpyBackend):
+            name = "counting"
+
+            def random(self, rng, size):
+                draws.append(size)
+                return super().random(rng, size)
+
+        monkeypatch.setattr(backend_mod, "_FACTORIES", {"counting": Counting})
+        monkeypatch.setattr(backend_mod, "_INSTANCES", {})
+        mrf = ising_mrf(cycle_graph(4), 0.5)
+        runner(mrf, rounds=3, seed=0, engine="vectorized", backend="counting")
+        assert draws
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_probes_count_local_rounds_and_messages(self, runner):
         mrf = proper_coloring_mrf(cycle_graph(5), 4)
-        outputs, stats = run_protocol(
-            VectorizedLubyGlauber(),
-            Network(mrf.graph),
-            rounds=10,
-            seed=0,
-            private_inputs=make_private_inputs(mrf, np.arange(5) % 2),
-            engine="vectorized",
-        )
-        assert outputs.shape == (5,)
-        assert stats.rounds == 10
-
-    def test_reference_protocols_declare_their_vectorized_forms(self):
-        assert isinstance(LubyGlauberProtocol().as_vectorized(), VectorizedLubyGlauber)
-        assert isinstance(
-            LocalMetropolisProtocol().as_vectorized(), VectorizedLocalMetropolis
-        )
-
-    def test_base_protocol_defaults_to_no_vectorized_form(self):
-        from repro.local import Protocol
-
-        class Minimal(Protocol):
-            def initialize(self, ctx):
-                pass
-
-            def compose(self, ctx, round_index):
-                return {}
-
-            def deliver(self, ctx, round_index, inbox):
-                pass
-
-            def finalize(self, ctx):
-                return 0
-
-        assert Minimal().as_vectorized() is None
+        metrics.reset()
+        metrics.enable()
+        try:
+            _, stats = runner(mrf, rounds=6, seed=0, engine="vectorized")
+            counters = {
+                c["name"]: c for c in metrics.snapshot()["counters"]
+                if c["name"].startswith("repro_local_")
+            }
+        finally:
+            metrics.disable()
+            metrics.reset()
+        assert set(counters) == {
+            "repro_local_rounds_total",
+            "repro_local_messages_total",
+            "repro_local_seconds_total",
+        }
+        protocol = "LubyGlauberProtocol" if runner is RUNNERS[0] else "LocalMetropolisProtocol"
+        labels = {"protocol": protocol, "backend": resolve_backend_name()}
+        for counter in counters.values():
+            assert counter["labels"] == labels
+        assert counters["repro_local_rounds_total"]["value"] == stats.rounds == 6
+        assert counters["repro_local_messages_total"]["value"] == stats.messages == 60
 
 
 class TestStatsMatchExactly:
@@ -158,16 +145,18 @@ class TestVectorizedOutputs:
     def test_luby_glauber_rejects_undefined_conditional(self):
         # A 2-colouring path whose middle vertex sees both colours in its
         # neighbourhood: once the middle wins the Luby step (seed chosen so
-        # it does in round 1), its conditional marginal is identically zero.
+        # it does in round 1), its conditional marginal is identically zero
+        # and the colouring kernel's rejection sampler cannot finish.
         mrf = proper_coloring_mrf(path_graph(3), 2)
-        with pytest.raises(ProtocolError, match="conditional marginal undefined"):
+        with pytest.raises(ModelError, match="rejection sampling stalled") as caught:
             run_luby_glauber_protocol(
                 mrf,
                 rounds=1,
-                seed=1,
+                seed=4,
                 initial=np.array([0, 0, 1]),
                 engine="vectorized",
             )
+        assert caught.type is ModelError
 
 
 class TestDistributionalEquivalence:
@@ -193,13 +182,12 @@ class TestDistributionalEquivalence:
         b = empirical_distribution(vectorized, mrf.n, mrf.q)
         assert a.tv_distance(b) < 0.08
 
-    def test_vectorized_matches_exact_gibbs(self):
-        """End-to-end Theorem 1.1 statement through the vectorized engine."""
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_vectorized_matches_exact_gibbs(self, runner):
+        """End-to-end Theorems 1.1/1.2 through the vectorized engine."""
         mrf = hardcore_mrf(path_graph(3), 1.0)
         gibbs = exact_gibbs_distribution(mrf)
-        samples = self._joint_samples(
-            run_luby_glauber_protocol, mrf, 40, "vectorized", 1500, 0
-        )
+        samples = self._joint_samples(runner, mrf, 40, "vectorized", 1500, 0)
         empirical = empirical_distribution(samples, mrf.n, mrf.q)
         assert gibbs.tv_distance(empirical) < 0.06
 
@@ -219,38 +207,6 @@ class TestDistributionalEquivalence:
         assert np.max(np.abs(reference - vectorized)) < 0.08
 
 
-class TestRunVectorizedMany:
-    def _batch(self, replicas, seed):
-        from repro.local.vectorized import run_vectorized_many
-
-        mrf = proper_coloring_mrf(cycle_graph(5), 4)
-        return run_vectorized_many(
-            VectorizedLubyGlauber,
-            Network(mrf.graph),
-            rounds=12,
-            replicas=replicas,
-            seed=seed,
-            private_inputs=make_private_inputs(mrf, np.arange(5) % 2),
-        )
-
-    def test_stacked_shape_and_replica_independence(self):
-        batch = self._batch(6, seed=4)
-        assert batch.shape == (6, 5)
-        # Replicas draw from independent spawned streams.
-        assert any(not np.array_equal(batch[0], row) for row in batch[1:])
-
-    def test_reproducible_from_one_seed(self):
-        assert np.array_equal(self._batch(4, seed=9), self._batch(4, seed=9))
-
-    def test_rejects_empty_batch(self):
-        from repro.local.vectorized import run_vectorized_many
-
-        with pytest.raises(ProtocolError, match="replicas"):
-            run_vectorized_many(
-                VectorizedLubyGlauber, Network(cycle_graph(5)), 4, 0
-            )
-
-
 class TestCollectStats:
     def test_reference_fast_path_skips_payload_walk(self):
         mrf = proper_coloring_mrf(cycle_graph(6), 4)
@@ -261,44 +217,6 @@ class TestCollectStats:
         assert fast.max_message_atoms == 0  # payload walking skipped
         assert fast.messages_per_round == []
         assert full.max_message_atoms == 2
-
-    def test_run_vectorized_docstring_contract_matches_run_protocol(self):
-        """``run_vectorized(collect_stats=...)`` honours its documented
-        contract: rounds/messages always counted, per-round breakdown and
-        atom sizing only under the flag — identical to ``run_protocol``."""
-        from repro.local.vectorized import run_vectorized
-
-        mrf = proper_coloring_mrf(cycle_graph(5), 4)
-        inputs = make_private_inputs(mrf, np.arange(5) % 2)
-        results = {}
-        for flag in (True, False):
-            _, ref = run_protocol(
-                LubyGlauberProtocol(),
-                Network(mrf.graph),
-                rounds=6,
-                seed=0,
-                private_inputs=inputs,
-                collect_stats=flag,
-            )
-            _, vec = run_vectorized(
-                VectorizedLubyGlauber(),
-                Network(mrf.graph),
-                rounds=6,
-                seed=0,
-                private_inputs=inputs,
-                collect_stats=flag,
-            )
-            assert (vec.rounds, vec.messages) == (ref.rounds, ref.messages)
-            results[flag] = (ref, vec)
-        on_ref, on_vec = results[True]
-        off_ref, off_vec = results[False]
-        # The flag never changes the analytic totals...
-        assert (off_vec.rounds, off_vec.messages) == (on_vec.rounds, on_vec.messages)
-        # ...only the collected breakdown, which mirrors the reference.
-        assert len(on_vec.messages_per_round) == 6
-        assert on_vec.max_message_atoms == on_ref.max_message_atoms > 0
-        assert off_vec.messages_per_round == off_ref.messages_per_round == []
-        assert off_vec.max_message_atoms == off_ref.max_message_atoms == 0
 
     def test_engines_report_identical_stats_without_collection(self):
         mrf = proper_coloring_mrf(cycle_graph(6), 4)
