@@ -37,10 +37,12 @@ from repro.chains.ensemble import (
     EnsembleLubyGlauberColoring,
     EnsembleLubyGlauberCSP,
     EnsembleLubyGlauberMRF,
+    _edge_tables,
 )
 from repro.chains.glauber import GlauberDynamics
 from repro.chains.local_metropolis import LocalMetropolisChain
 from repro.chains.luby_glauber import LubyGlauberChain
+from repro.chains.plans import model_plan
 from repro.csp.hypergraph import csp_neighbors
 from repro.csp.model import LocalCSP, exact_csp_gibbs_distribution
 from repro.errors import ModelError
@@ -261,8 +263,14 @@ def _uniform_coloring_q(mrf: MRF) -> int | None:
     ``(J - I)`` and every vertex-activity row is a positive constant —
     which is exactly when the specialised colouring ensembles of
     :mod:`repro.chains.ensemble` apply.  Constant rescalings do not change
-    the distribution, so they are accepted.
+    the distribution, so they are accepted.  The answer is cached per
+    model (:mod:`repro.chains.plans`).
     """
+    return model_plan(mrf, "uniform_coloring_q", lambda: _classify_coloring(mrf))
+
+
+def _classify_coloring(mrf: MRF) -> int | None:
+    """The uncached check behind :func:`_uniform_coloring_q`."""
     # Relative comparisons only (atol=0): activities are scale-free, so a
     # default absolute tolerance would misclassify small-magnitude
     # non-uniform models as uniform colourings.
@@ -271,20 +279,15 @@ def _uniform_coloring_q(mrf: MRF) -> int | None:
         activity, activity[:, :1], rtol=1e-9, atol=0.0
     ):
         return None
-    off_diagonal = ~np.eye(mrf.q, dtype=bool)
-    # The per-edge checks are independent, so edges sharing one frozen
-    # matrix object (the homogeneous / copy-on-write case) are checked once.
-    seen: set[int] = set()
-    for u, v in mrf.edges:
-        matrix = mrf.edge_activity(u, v)
-        if id(matrix) in seen:
-            continue
-        if np.any(np.diagonal(matrix) != 0.0):
-            return None
-        off = matrix[off_diagonal]
-        if np.any(off <= 0.0) or not np.allclose(off, off[0], rtol=1e-9, atol=0.0):
-            return None
-        seen.add(id(matrix))
+    # Each distinct edge matrix is checked once, not once per edge.
+    _, stack = _edge_tables(mrf)
+    off = stack[:, ~np.eye(mrf.q, dtype=bool)]
+    if (
+        np.any(np.diagonal(stack, axis1=1, axis2=2) != 0.0)
+        or np.any(off <= 0.0)
+        or not np.allclose(off, off[:, :1], rtol=1e-9, atol=0.0)
+    ):
+        return None
     return mrf.q
 
 
@@ -380,9 +383,7 @@ def make_ensemble(
             if method == "local-metropolis"
             else EnsembleLubyGlauberColoring
         )
-        return ensemble_cls(
-            model.graph, coloring_q, r, initial=initial, seed=rng, backend=backend
-        )
+        return ensemble_cls(model, coloring_q, r, initial=initial, seed=rng, backend=backend)
     # General pairwise MRFs (hardcore, Ising, list colourings).
     ensemble_cls = (
         EnsembleLocalMetropolisMRF

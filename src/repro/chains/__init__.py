@@ -23,6 +23,9 @@ Batched replica ensembles (:mod:`repro.chains.ensemble`):
   :class:`repro.chains.ensemble.EnsembleLocalMetropolisCSP` — the CSP
   extensions of both distributed chains batched over replicas.
 
+Every ensemble engine shares its model-derived precompute through
+:mod:`repro.chains.plans`, built once per model.
+
 Verification machinery:
 
 * :mod:`repro.chains.transition` — exact transition matrices, stationary

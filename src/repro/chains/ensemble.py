@@ -85,11 +85,28 @@ child per shard and constructs each shard's engine from its child, which
 makes the concatenated ``(R, n)`` trajectory a pure function of the root
 sequence and the shard partition — *not* of how many OS processes execute
 the shards.
+
+The default start (``initial=None``) is deterministic and draws nothing
+from the stream: the greedy colouring for the colouring engines,
+:func:`~repro.chains.base.greedy_feasible_config` for the pairwise-MRF
+engines and :func:`~repro.chains.csp_chains.greedy_csp_config` for the
+CSP engines.
+
+Plan contract
+-------------
+
+Everything an engine precomputes from its model lives in a read-only
+:class:`~repro.chains.plans.Plan`, built once per model, engine family
+and backend, and shared by every later engine on that model (see
+:mod:`repro.chains.plans`).  The default start is cached the same way.
+An engine owns only its RNG stream, its replica batch and its step
+counter, so building one on a model seen before costs almost nothing.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 from time import perf_counter
 
 import networkx as nx
@@ -104,8 +121,8 @@ from repro.chains.fastpaths import (
     greedy_coloring,
     sorted_edge_arrays,
 )
+from repro.chains.plans import Plan, frozen, model_plan
 from repro.chains.sampling import inverse_cdf
-from repro.csp.hypergraph import conflict_graph
 from repro.csp.model import LocalCSP
 from repro.errors import InfeasibleStateError, ModelError, StateSpaceTooLargeError
 from repro.graphs.structure import check_vertex_labels
@@ -122,6 +139,7 @@ __all__ = [
     "EnsembleLocalMetropolisMRF",
     "EnsembleLubyGlauberCSP",
     "EnsembleLocalMetropolisCSP",
+    "default_start",
 ]
 
 
@@ -265,24 +283,22 @@ def _initial_spin_batch(
     replicas), a length-n configuration shared by all replicas, or an
     ``(R, n)`` batch giving each replica its own start.  Shared by the
     colouring and CSP ensemble bases so their start semantics cannot
-    drift.
+    drift.  The result is a fresh C-contiguous array, made in one copy.
     """
     if initial is None:
-        base = np.asarray(default_start(), dtype=np.int64)
-        return np.repeat(base[:, None], replicas, axis=1).astype(dtype)
+        base = np.asarray(default_start()).astype(dtype)
+        return np.repeat(base[:, None], replicas, axis=1)
     config = np.asarray(initial, dtype=np.int64)
-    if config.shape == (n,):
-        config = np.repeat(config[:, None], replicas, axis=1)
-    elif config.shape == (replicas, n):
-        config = config.T.copy()
-    else:
+    if config.shape not in ((n,), (replicas, n)):
         raise ModelError(
             f"initial configuration must have shape ({n},) or ({replicas}, {n}), "
             f"got {config.shape}"
         )
     if np.any(config < 0) or np.any(config >= q):
         raise ModelError(f"initial {noun} must lie in 0..{q - 1}")
-    return config.astype(dtype)
+    if config.ndim == 1:
+        return np.repeat(config.astype(dtype)[:, None], replicas, axis=1)
+    return config.T.astype(dtype, order="C")
 
 
 def _as_region(region, n: int) -> np.ndarray:
@@ -314,6 +330,84 @@ def _side_matrices(edge_u: np.ndarray, edge_v: np.ndarray, n: int):
         sp.csr_matrix((ones, (edge_u, arange)), shape=(n, m)),
         sp.csr_matrix((ones, (edge_v, arange)), shape=(n, m)),
     )
+
+
+def _incidence_plan_fields(xp: ArrayBackend, edge_u: np.ndarray, edge_v: np.ndarray, n: int):
+    """Device edge arrays plus the one-sided and full incidence handles.
+
+    The shared plan fields of every engine that Luby-selects and reduces
+    "any incident edge failed" over a graph: ``eu``/``ev`` (host),
+    ``eu_d``/``ev_d``, ``side_u``/``side_v`` and ``incidence`` (``None``
+    without edges).
+    """
+    fields = {
+        "m": len(edge_u),
+        "eu": edge_u,
+        "ev": edge_v,
+        "eu_d": xp.asarray(edge_u),
+        "ev_d": xp.asarray(edge_v),
+        "side_u": None,
+        "side_v": None,
+        "incidence": None,
+    }
+    if len(edge_u):
+        side_u, side_v = _side_matrices(edge_u, edge_v, n)
+        fields["side_u"] = xp.csr(side_u)
+        fields["side_v"] = xp.csr(side_v)
+        fields["incidence"] = xp.csr((side_u + side_v).tocsr())
+    return fields
+
+
+def _edge_arrays(model: MRF | nx.Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted ``u < v`` edge endpoint arrays of an MRF or a graph.
+
+    An MRF's edge list is already sorted, so its arrays are one C-level
+    pass over it; a bare graph goes through
+    :func:`~repro.chains.fastpaths.sorted_edge_arrays`.
+    """
+    if not isinstance(model, MRF):
+        return sorted_edge_arrays(model)
+    m = len(model.edges)
+    flat = np.fromiter(chain.from_iterable(model.edges), dtype=np.int64, count=2 * m)
+    return flat[0::2].copy(), flat[1::2].copy()
+
+
+def _edge_tables(mrf: MRF) -> tuple[np.ndarray, np.ndarray]:
+    """The per-edge index into the deduplicated stack of edge activities ``A_e``.
+
+    ``mrf._edge_activity`` holds the tables in ``mrf.edges`` order, and a
+    homogeneous model (or a copy-on-write mutation of one) shares one
+    matrix object across its edges, so tables are deduplicated by
+    identity: each distinct object is stacked once, in order of first
+    use.  Returns ``(edge_table, stack)``; ``stack`` is ``(k, q, q)``,
+    empty for an edgeless model.  Built once per model and shared by the
+    colouring check of :func:`repro.api.make_ensemble` and the MRF plans.
+    """
+
+    def build():
+        tables = list(mrf._edge_activity.values())
+        if not tables:
+            return frozen(np.zeros(0, dtype=np.int64)), frozen(np.zeros((0, mrf.q, mrf.q)))
+        ids = np.fromiter(map(id, tables), dtype=np.uint64, count=len(tables))
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        stack = np.stack([tables[i] for i in first[order]])
+        return frozen(rank[inverse].astype(np.int64)), frozen(stack)
+
+    return model_plan(mrf, "edge_tables", build)
+
+
+def default_start(model: MRF | LocalCSP) -> np.ndarray:
+    """The deterministic default start of the MRF or CSP engines on ``model``.
+
+    :func:`~repro.chains.base.greedy_feasible_config` for an MRF and
+    :func:`~repro.chains.csp_chains.greedy_csp_config` for a CSP, built
+    once per model and shared read-only (:mod:`repro.chains.plans`).
+    """
+    build = greedy_csp_config if isinstance(model, LocalCSP) else greedy_feasible_config
+    return model_plan(model, "start", lambda: frozen(build(model)))
 
 
 class _RegionSelector:
@@ -390,13 +484,36 @@ def _batched_luby_select(
     return lose_counts == 0
 
 
+def _coloring_plan(model: nx.Graph | MRF, graph: nx.Graph, xp: ArrayBackend) -> Plan:
+    """The colouring kernels' plan: CSR neighbour arrays plus incidences."""
+    check_vertex_labels(graph)
+    n = graph.number_of_nodes()
+    edge_u, edge_v = _edge_arrays(model)
+    degrees, indptr, indices = build_csr_neighbours(edge_u, edge_v, n)
+    return Plan(
+        n=n,
+        degrees_d=xp.asarray(degrees),
+        indptr_d=xp.asarray(indptr),
+        csr_indices_d=xp.asarray(indices),
+        **_incidence_plan_fields(xp, edge_u, edge_v, n),
+    )
+
+
+def _coloring_start(model: nx.Graph | MRF, graph: nx.Graph, q: int) -> np.ndarray:
+    """The first-fit greedy colouring start, cached per model and ``q``."""
+    return model_plan(model, ("start", q), lambda: frozen(greedy_coloring(graph, q)))
+
+
 class _EnsembleColoringBase(EnsembleTrajectoryMixin):
     """Shared state for the batched colouring chains.
 
     Parameters
     ----------
     graph:
-        Simple graph with vertices ``0..n-1``.
+        Simple graph with vertices ``0..n-1``, or a uniform-colouring
+        :class:`~repro.mrf.model.MRF` whose graph to colour (what
+        :func:`repro.api.make_ensemble` passes: the plan is then cached on
+        the model and built from its sorted edge list).
     q:
         Number of colours.
     replicas:
@@ -415,65 +532,41 @@ class _EnsembleColoringBase(EnsembleTrajectoryMixin):
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: nx.Graph | MRF,
         q: int,
         replicas: int,
         initial: Sequence[int] | np.ndarray | None = None,
         seed: int | np.random.SeedSequence | np.random.Generator | None = None,
         backend: str | ArrayBackend | None = None,
     ) -> None:
-        check_vertex_labels(graph)
+        model = graph
+        graph = model.graph if isinstance(model, MRF) else model
         if q < 2:
             raise ModelError(f"colouring needs q >= 2, got {q}")
         if replicas < 1:
             raise ModelError(f"ensemble needs replicas >= 1, got {replicas}")
-        self.n = graph.number_of_nodes()
         self.q = int(q)
         self.replicas = int(replicas)
         self.graph = graph
         self._dtype = _spin_dtype(self.q)
         self.rng = as_generator(seed)
         self.xp = get_backend(backend)
-
-        self._eu, self._ev = sorted_edge_arrays(graph)
-        self._m = len(self._eu)
-        self._build_adjacency()
-        self._config = self.xp.asarray(self._initial_batch(initial))
+        self._plan = model_plan(
+            model, ("coloring", self.xp.name), lambda: _coloring_plan(model, graph, self.xp)
+        )
+        self.n = self._plan.n
+        self._config = self.xp.asarray(
+            _initial_spin_batch(
+                initial,
+                self.n,
+                self.q,
+                self.replicas,
+                self._dtype,
+                lambda: _coloring_start(model, graph, self.q),
+                noun="colours",
+            )
+        )
         self.steps_taken = 0
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    def _build_adjacency(self) -> None:
-        """CSR neighbour arrays plus the vertex-edge incidence matrices."""
-        xp = self.xp
-        n, m = self.n, self._m
-        self._degrees, self._indptr, self._csr_indices = build_csr_neighbours(
-            self._eu, self._ev, n
-        )
-        self._degrees_d = xp.asarray(self._degrees)
-        self._indptr_d = xp.asarray(self._indptr)
-        self._csr_indices_d = xp.asarray(self._csr_indices)
-        self._eu_d = xp.asarray(self._eu)
-        self._ev_d = xp.asarray(self._ev)
-        if m:
-            side_u, side_v = _side_matrices(self._eu, self._ev, n)
-            self._side_u = xp.csr(side_u)
-            self._side_v = xp.csr(side_v)
-            self._incidence = xp.csr((side_u + side_v).tocsr())
-        else:
-            self._side_u = self._side_v = self._incidence = None
-
-    def _initial_batch(self, initial) -> np.ndarray:
-        return _initial_spin_batch(
-            initial,
-            self.n,
-            self.q,
-            self.replicas,
-            self._dtype,
-            lambda: greedy_coloring(self.graph, self.q),
-            noun="colours",
-        )
 
     # ------------------------------------------------------------------
     # batch views and diagnostics
@@ -490,10 +583,11 @@ class _EnsembleColoringBase(EnsembleTrajectoryMixin):
 
     def monochromatic_edges(self) -> np.ndarray:
         """Per-replica count of improper (monochromatic) edges, shape ``(R,)``."""
-        if self._m == 0:
+        plan = self._plan
+        if plan.m == 0:
             return np.zeros(self.replicas, dtype=np.int64)
         xp = self.xp
-        same = self._config[self._eu_d] == self._config[self._ev_d]
+        same = self._config[plan.eu_d] == self._config[plan.ev_d]
         return xp.to_numpy(xp.sum(same, axis=0))
 
     def proper_mask(self) -> np.ndarray:
@@ -519,22 +613,22 @@ class _EnsembleColoringBase(EnsembleTrajectoryMixin):
         colourings, so this is the shared update kernel of the LubyGlauber
         step and the region-restricted advance.
         """
-        xp = self.xp
+        xp, plan = self.xp, self._plan
         result = xp.copy(self._config)
         guard = 0
         while int(v_idx.shape[0]):
             pending = int(v_idx.shape[0])
             draws = xp.uniform_spins(self.rng, self.q, pending, self._dtype)
-            if self._m:
+            if plan.m:
                 # Expand each pending pair to its CSR neighbour slots.  The
                 # neighbours of a selected vertex are unselected (Luby step),
                 # so their colours are fixed for the whole resampling pass.
                 pair_of_slot, slots = xp.expand_neighbour_slots(
-                    v_idx, self._degrees_d, self._indptr_d
+                    v_idx, plan.degrees_d, plan.indptr_d
                 )
                 neighbour_spins = self._config[
-                    self._csr_indices_d[slots],
-                    xp.repeat(r_idx, self._degrees_d[v_idx]),
+                    plan.csr_indices_d[slots],
+                    xp.repeat(r_idx, plan.degrees_d[v_idx]),
                 ]
                 hits = neighbour_spins == draws[pair_of_slot]
                 conflict = xp.bincount(pair_of_slot[hits], minlength=pending) > 0
@@ -568,7 +662,7 @@ class _EnsembleColoringBase(EnsembleTrajectoryMixin):
         if steps < 0:
             raise ModelError(f"advance_region needs steps >= 0, got {steps}")
         selector = _RegionSelector(
-            self.xp, _as_region(region, self.n), self._eu, self._ev, self.n
+            self.xp, _as_region(region, self.n), self._plan.eu, self._plan.ev, self.n
         )
         for _ in range(steps):
             self._resample_pairs(*selector.select_pairs(self.rng, self.replicas))
@@ -586,21 +680,21 @@ class EnsembleLocalMetropolisColoring(_EnsembleColoringBase):
     """
 
     def step(self) -> None:
-        xp = self.xp
+        xp, plan = self.xp, self._plan
         proposals = xp.uniform_spins(
             self.rng, self.q, (self.n, self.replicas), self._dtype
         )
-        if self._m == 0:
+        if plan.m == 0:
             self._config = proposals
             self.steps_taken += 1
             return
-        pu = proposals[self._eu_d]
-        pv = proposals[self._ev_d]
-        xu = self._config[self._eu_d]
-        xv = self._config[self._ev_d]
+        pu = proposals[plan.eu_d]
+        pv = proposals[plan.ev_d]
+        xu = self._config[plan.eu_d]
+        xv = self._config[plan.ev_d]
         failed = (pu == pv) | (pu == xv) | (pv == xu)
         # (n, R) count of failed incident edges; a vertex accepts iff zero.
-        blocked = xp.spmm_count(self._incidence, failed) > 0
+        blocked = xp.spmm_count(plan.incidence, failed) > 0
         if _obs_metrics.enabled:
             _record_metropolis_step(self, blocked)
         self._config = xp.where(blocked, self._config, proposals)
@@ -622,9 +716,10 @@ class EnsembleLubyGlauberColoring(_EnsembleColoringBase):
 
     def _luby_select(self):
         """Per-replica Luby step on the colouring graph, ``(n, R)`` boolean."""
+        plan = self._plan
         return _batched_luby_select(
-            self.xp, self.rng, self.n, self.replicas, self._eu_d, self._ev_d,
-            self._side_u, self._side_v,
+            self.xp, self.rng, self.n, self.replicas, plan.eu_d, plan.ev_d,
+            plan.side_u, plan.side_v,
         )
 
     def step(self) -> None:
@@ -636,34 +731,6 @@ class EnsembleLubyGlauberColoring(_EnsembleColoringBase):
         self.steps_taken += 1
 
 
-def _pairwise_edge_tables(mrf: MRF):
-    """Sorted edge arrays plus a per-edge index into the stack of ``A_e``.
-
-    ``mrf.edges`` is sorted with ``u < v`` and ``mrf._edge_activity`` holds
-    the tables in that same order, so one pass keyed by ``id()`` stacks
-    every distinct matrix once: a homogeneous model (or a copy-on-write
-    mutation of one) costs a single table however many edges it has.
-    Returns ``(edge_u, edge_v, edge_table, stack)``.
-    """
-    edges = np.asarray(mrf.edges, dtype=np.int64).reshape(-1, 2)
-    index_of: dict[int, int] = {}
-    stack: list[np.ndarray] = []
-    edge_table: list[int] = []
-    for matrix in mrf._edge_activity.values():
-        index = index_of.get(id(matrix))
-        if index is None:
-            index = index_of[id(matrix)] = len(stack)
-            stack.append(matrix)
-        edge_table.append(index)
-    tables = np.stack(stack) if stack else np.ones((1, mrf.q, mrf.q))
-    return (
-        edges[:, 0].copy(),
-        edges[:, 1].copy(),
-        np.asarray(edge_table, dtype=np.int64),
-        tables,
-    )
-
-
 def _ascending_csr(edge_u, edge_v, n: int, edge_table):
     """CSR neighbour slots in ascending-neighbour order, each with its table.
 
@@ -671,15 +738,47 @@ def _ascending_csr(edge_u, edge_v, n: int, edge_table):
     order of ``mrf.neighbors(v)`` — the sequential chains' float operation
     order — and ``slot_table[s]`` is the stack index of the edge behind
     slot ``s``.  Returns ``(degrees, indptr, indices, slot_table)``.
+
+    The edges must be sorted with ``u < v`` (as :func:`_edge_arrays`
+    returns them): a stable sort by owner then lists each vertex's
+    smaller neighbours (the ``v`` side, ascending) before its larger ones
+    (the ``u`` side, ascending).
     """
-    owners = np.concatenate([edge_u, edge_v])
-    neighbours = np.concatenate([edge_v, edge_u])
-    order = np.lexsort((neighbours, owners))
+    owners = np.concatenate([edge_v, edge_u])
+    neighbours = np.concatenate([edge_u, edge_v])
+    order = np.argsort(owners, kind="stable")
     degrees = np.bincount(owners, minlength=n).astype(np.int64)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
     slot_table = np.concatenate([edge_table, edge_table])[order]
     return degrees, indptr, neighbours[order], slot_table
+
+
+def _glauber_plan(mrf: MRF, xp: ArrayBackend) -> Plan:
+    """The single-site Glauber plan.
+
+    A padded neighbour table (-1 pad) in ascending-neighbour order, each
+    slot's index into the deduplicated edge-activity stack, the stack and
+    the vertex activities.
+    """
+    edge_u, edge_v = _edge_arrays(mrf)
+    edge_table, activities = _edge_tables(mrf)
+    n = mrf.n
+    degrees, indptr, indices, slot_table = _ascending_csr(edge_u, edge_v, n, edge_table)
+    width = max(int(degrees.max(initial=0)), 1)
+    owner = np.repeat(np.arange(n), degrees)
+    position = np.arange(indices.size) - indptr[owner]
+    neighbour_pad = np.full((n, width), -1, dtype=np.int64)
+    neighbour_pad[owner, position] = indices
+    activity_index = np.zeros((n, width), dtype=np.int64)
+    activity_index[owner, position] = slot_table
+    return Plan(
+        width=width,
+        neighbour_pad_d=xp.asarray(neighbour_pad),
+        activity_index_d=xp.asarray(activity_index),
+        activities=xp.asarray(activities),
+        vertex_activity=xp.asarray(np.asarray(mrf.vertex_activity, dtype=float)),
+    )
 
 
 class EnsembleGlauberDynamics(EnsembleTrajectoryMixin):
@@ -711,11 +810,11 @@ class EnsembleGlauberDynamics(EnsembleTrajectoryMixin):
         self.mrf = mrf
         self.replicas = int(replicas)
         self.rng = as_generator(seed)
-        self.xp = get_backend(backend)
+        self.xp = xp = get_backend(backend)
         n, q, r = mrf.n, mrf.q, self.replicas
+        self._plan = model_plan(mrf, ("glauber", xp.name), lambda: _glauber_plan(mrf, xp))
         if initial is None:
-            base = greedy_feasible_config(mrf, self.rng)
-            config = np.repeat(base[None, :], r, axis=0)
+            config = np.repeat(default_start(mrf)[None, :], r, axis=0)
         else:
             config = np.asarray(initial, dtype=np.int64)
             if config.shape == (n,):
@@ -729,26 +828,7 @@ class EnsembleGlauberDynamics(EnsembleTrajectoryMixin):
                 )
             if np.any(config < 0) or np.any(config >= q):
                 raise ModelError(f"initial spins must lie in 0..{q - 1}")
-        self._config = self.xp.asarray(config.astype(np.int64))
-        # Padded neighbour table (-1 pad) in ascending-neighbour order plus
-        # each slot's index into the deduplicated edge-activity stack, both
-        # laid out from the ascending CSR slots.
-        eu, ev, edge_table, activities = _pairwise_edge_tables(mrf)
-        degrees, indptr, indices, slot_table = _ascending_csr(eu, ev, n, edge_table)
-        width = max(int(degrees.max(initial=0)), 1)
-        owner = np.repeat(np.arange(n), degrees)
-        position = np.arange(indices.size) - indptr[owner]
-        self._neighbour_pad = np.full((n, width), -1, dtype=np.int64)
-        self._neighbour_pad[owner, position] = indices
-        activity_index = np.zeros((n, width), dtype=np.int64)
-        activity_index[owner, position] = slot_table
-        xp = self.xp
-        self._neighbour_pad_d = xp.asarray(self._neighbour_pad)
-        self._activity_index_d = xp.asarray(activity_index)
-        self._activities = xp.asarray(activities)
-        self._vertex_activity = xp.asarray(
-            np.asarray(mrf.vertex_activity, dtype=float)
-        )
+        self._config = xp.asarray(config.astype(np.int64, copy=False))
         self._rows = xp.arange(r)
         self.steps_taken = 0
 
@@ -788,21 +868,21 @@ class EnsembleGlauberDynamics(EnsembleTrajectoryMixin):
 
     def _update_sites(self, vertices) -> None:
         """Heat-bath-resample ``vertices[i]`` in replica ``i``, in place."""
-        xp = self.xp
+        xp, plan = self.xp, self._plan
         r, q = self.replicas, self.mrf.q
         # Conditional weights b_v(c) * prod_u A_uv(c, X_u), eq. (2), built
         # in ascending-neighbour order (bitwise-matching the sequential
         # implementation's float operation order).
-        weights = xp.take_rows(self._vertex_activity, vertices)
+        weights = xp.take_rows(plan.vertex_activity, vertices)
         rows = self._rows
-        for k in range(self._neighbour_pad.shape[1]):
-            neighbour = self._neighbour_pad_d[vertices, k]
+        for k in range(plan.width):
+            neighbour = plan.neighbour_pad_d[vertices, k]
             valid = neighbour >= 0
             if not xp.any(valid):
                 continue
             spins = self._config[rows[valid], neighbour[valid]]
-            weights[valid] *= self._activities[
-                self._activity_index_d[vertices[valid], k], :, spins
+            weights[valid] *= plan.activities[
+                plan.activity_index_d[vertices[valid], k], :, spins
             ]
         totals = xp.sum(weights, axis=1)
         if xp.any(totals <= 0.0):
@@ -822,11 +902,40 @@ class EnsembleGlauberDynamics(EnsembleTrajectoryMixin):
         )
 
 
+def _pairwise_plan(mrf: MRF, xp: ArrayBackend) -> Plan:
+    """The plan both batched pairwise-MRF kernels share (see the class below)."""
+    n, q = mrf.n, mrf.q
+    edge_u, edge_v = _edge_arrays(mrf)
+    edge_table, stack = _edge_tables(mrf)
+    degrees, indptr, indices, slot_table = _ascending_csr(edge_u, edge_v, n, edge_table)
+    # int32 filter offsets halve the memory traffic of the per-round
+    # index arithmetic (int64 only for a stack past 2^31 entries).
+    index_dtype = np.int32 if stack.size < 2**31 else np.int64
+    activity = mrf.vertex_activity
+    cdf = np.cumsum(activity / activity.sum(axis=1, keepdims=True), axis=1)
+    return Plan(
+        degrees=degrees,
+        degrees_d=xp.asarray(degrees),
+        indptr_d=xp.asarray(indptr),
+        csr_indices_d=xp.asarray(indices),
+        slot_table_d=xp.asarray(slot_table),
+        activities=xp.asarray(stack),
+        vertex_activity_d=xp.asarray(np.asarray(activity, dtype=float)),
+        # Flat Ã_e stack, addressed at table * q^2 + a * q + b.
+        filter_flat=xp.asarray((stack / stack.max(axis=(1, 2), keepdims=True)).ravel()),
+        index_dtype=index_dtype,
+        edge_base_d=xp.asarray((edge_table * q * q)[:, None].astype(index_dtype)),
+        proposal_cdf=xp.asarray(np.ascontiguousarray(cdf.T[:, :, None])),
+        **_incidence_plan_fields(xp, edge_u, edge_v, n),
+    )
+
+
 class _EnsemblePairwiseMRFBase(EnsembleTrajectoryMixin):
     """Shared vectorised structure of the batched pairwise-MRF kernels.
 
-    One construction serves both distributed algorithms on any pairwise
-    MRF, and the two engines differ only in ``step()``:
+    One plan (:func:`_pairwise_plan`, built once per model) serves both
+    distributed algorithms on any pairwise MRF, and the two engines differ
+    only in ``step()``:
 
     * the sorted edge arrays, straight from ``mrf.edges``;
     * a per-edge index into the deduplicated stack of edge activities
@@ -871,53 +980,20 @@ class _EnsemblePairwiseMRFBase(EnsembleTrajectoryMixin):
         if replicas < 1:
             raise ModelError(f"ensemble needs replicas >= 1, got {replicas}")
         self.mrf = mrf
-        self.n = n = mrf.n
-        self.q = q = mrf.q
+        self.n, self.q = mrf.n, mrf.q
         self.replicas = int(replicas)
-        self._dtype = _spin_dtype(q)
+        self._dtype = _spin_dtype(self.q)
         self.rng = as_generator(seed)
         self.xp = xp = get_backend(backend)
-        self._eu, self._ev, edge_table, stack = _pairwise_edge_tables(mrf)
-        self._m = len(self._eu)
-        self._degrees, indptr, indices, slot_table = _ascending_csr(
-            self._eu, self._ev, n, edge_table
-        )
-        self._degrees_d = xp.asarray(self._degrees)
-        self._indptr_d = xp.asarray(indptr)
-        self._csr_indices_d = xp.asarray(indices)
-        self._slot_table_d = xp.asarray(slot_table)
-        self._eu_d = xp.asarray(self._eu)
-        self._ev_d = xp.asarray(self._ev)
-        if self._m:
-            side_u, side_v = _side_matrices(self._eu, self._ev, n)
-            self._side_u = xp.csr(side_u)
-            self._side_v = xp.csr(side_v)
-            self._incidence = xp.csr((side_u + side_v).tocsr())
-        else:
-            self._side_u = self._side_v = self._incidence = None
-        self._activities = xp.asarray(stack)
-        self._vertex_activity_d = xp.asarray(
-            np.asarray(mrf.vertex_activity, dtype=float)
-        )
-        # Flat Ã_e stack, addressed at table * q^2 + a * q + b.
-        self._filter_flat = xp.asarray(
-            (stack / stack.max(axis=(1, 2), keepdims=True)).ravel()
-        )
-        # int32 filter offsets halve the memory traffic of the per-round
-        # index arithmetic (int64 only for a stack past 2^31 entries).
-        self._index_dtype = np.int32 if stack.size < 2**31 else np.int64
-        self._edge_base_d = xp.asarray((edge_table * q * q)[:, None].astype(self._index_dtype))
-        activity = mrf.vertex_activity
-        cdf = np.cumsum(activity / activity.sum(axis=1, keepdims=True), axis=1)
-        self._proposal_cdf = xp.asarray(np.ascontiguousarray(cdf.T[:, :, None]))
+        self._plan = model_plan(mrf, ("pairwise", xp.name), lambda: _pairwise_plan(mrf, xp))
         self._config = xp.asarray(
             _initial_spin_batch(
                 initial,
-                n,
-                q,
+                self.n,
+                self.q,
                 self.replicas,
                 self._dtype,
-                lambda: greedy_feasible_config(mrf, self.rng),
+                lambda: default_start(mrf),
             )
         )
         self.steps_taken = 0
@@ -961,7 +1037,7 @@ class _EnsemblePairwiseMRFBase(EnsembleTrajectoryMixin):
         if steps < 0:
             raise ModelError(f"advance_region needs steps >= 0, got {steps}")
         selector = _RegionSelector(
-            self.xp, _as_region(region, self.n), self._eu, self._ev, self.n
+            self.xp, _as_region(region, self.n), self._plan.eu, self._plan.ev, self.n
         )
         for _ in range(steps):
             self._heatbath_update(*selector.select_pairs(self.rng, self.replicas))
@@ -974,7 +1050,7 @@ class _EnsemblePairwiseMRFBase(EnsembleTrajectoryMixin):
         The pairs must form an independent set within each replica (their
         neighbours' spins are read as fixed conditioning).
         """
-        xp = self.xp
+        xp, plan = self.xp, self._plan
         pairs = int(v_idx.shape[0])
         if pairs == 0:  # pragma: no cover - Luby always selects someone
             return
@@ -983,20 +1059,20 @@ class _EnsemblePairwiseMRFBase(EnsembleTrajectoryMixin):
         # their spins are fixed for the whole update.  Undirected edge
         # matrices are symmetric, so gathering column ``X_u`` equals the
         # row gather the sequential chain performs.
-        weights = xp.take_rows(self._vertex_activity_d, v_idx)
-        if self._m:
+        weights = xp.take_rows(plan.vertex_activity_d, v_idx)
+        if plan.m:
             pair_of_slot, slots = xp.expand_neighbour_slots(
-                v_idx, self._degrees_d, self._indptr_d
+                v_idx, plan.degrees_d, plan.indptr_d
             )
             neighbour_spins = self._config[
-                self._csr_indices_d[slots],
-                xp.repeat(r_idx, self._degrees_d[v_idx]),
+                plan.csr_indices_d[slots],
+                xp.repeat(r_idx, plan.degrees_d[v_idx]),
             ]
-            values = self._activities[
-                self._slot_table_d[slots], :, xp.astype(neighbour_spins, np.int64)
+            values = plan.activities[
+                plan.slot_table_d[slots], :, xp.astype(neighbour_spins, np.int64)
             ]
             weights = weights * xp.segment_prod(
-                values, self._degrees[xp.to_numpy(v_idx)]
+                values, plan.degrees[xp.to_numpy(v_idx)]
             )
         totals = xp.sum(weights, axis=1)
         if xp.any(totals <= 0.0):
@@ -1038,9 +1114,10 @@ class EnsembleLubyGlauberMRF(_EnsemblePairwiseMRFBase):
 
     def _luby_select(self):
         """Per-replica Luby step on the model graph, ``(n, R)`` boolean."""
+        plan = self._plan
         return _batched_luby_select(
-            self.xp, self.rng, self.n, self.replicas, self._eu_d, self._ev_d,
-            self._side_u, self._side_v,
+            self.xp, self.rng, self.n, self.replicas, plan.eu_d, plan.ev_d,
+            plan.side_u, plan.side_v,
         )
 
     def step(self) -> None:
@@ -1069,18 +1146,18 @@ class EnsembleLocalMetropolisMRF(_EnsemblePairwiseMRFBase):
 
     def step(self) -> None:
         """Propose from ``b_v``; filter every edge; accept where clean."""
-        xp = self.xp
+        xp, plan = self.xp, self._plan
         uniforms = xp.random(self.rng, (self.n, self.replicas))
-        proposals = xp.astype(inverse_cdf(self._proposal_cdf, uniforms, xp), self._dtype)
-        if self._m:
-            q, index = self.q, self._index_dtype
-            pu = xp.astype(proposals[self._eu_d], index)
-            pv = xp.astype(proposals[self._ev_d], index)
-            xu = xp.astype(self._config[self._eu_d], index)
-            xv = xp.astype(self._config[self._ev_d], index)
-            from_proposal = self._edge_base_d + pu * q
-            from_current = self._edge_base_d + xu * q
-            table = self._filter_flat
+        proposals = xp.astype(inverse_cdf(plan.proposal_cdf, uniforms, xp), self._dtype)
+        if plan.m:
+            q, index = self.q, plan.index_dtype
+            pu = xp.astype(proposals[plan.eu_d], index)
+            pv = xp.astype(proposals[plan.ev_d], index)
+            xu = xp.astype(self._config[plan.eu_d], index)
+            xv = xp.astype(self._config[plan.ev_d], index)
+            from_proposal = plan.edge_base_d + pu * q
+            from_current = plan.edge_base_d + xu * q
+            table = plan.filter_flat
             pass_probability = (
                 table[from_proposal + pv]
                 * table[from_current + pv]
@@ -1088,8 +1165,8 @@ class EnsembleLocalMetropolisMRF(_EnsemblePairwiseMRFBase):
             )
             # One shared coin per (edge, replica): u < p always holds at
             # p = 1 and never at p = 0, as in the sequential chain.
-            coins = xp.random(self.rng, (self._m, self.replicas))
-            blocked = xp.spmm_count(self._incidence, coins >= pass_probability) > 0
+            coins = xp.random(self.rng, (plan.m, self.replicas))
+            blocked = xp.spmm_count(plan.incidence, coins >= pass_probability) > 0
             if _obs_metrics.enabled:
                 _record_metropolis_step(self, blocked)
             self._config = xp.where(blocked, self._config, proposals)
@@ -1102,6 +1179,156 @@ class EnsembleLocalMetropolisMRF(_EnsemblePairwiseMRFBase):
 # CSP ensembles: batched extensions of Algorithms 1-2 to weighted local
 # CSPs (the remarks after both algorithms).
 # ----------------------------------------------------------------------
+def _csp_scope_plan(csp: LocalCSP, xp: ArrayBackend) -> Plan:
+    """Flat constraint tables plus the precompiled scope strides.
+
+    Besides the kernel structures it keeps, host-side, one entry per
+    (constraint, scope position) — ``entry_constraint``, ``entry_vertex``
+    and ``entry_stride`` — from which the heat-bath and mixing plans are
+    derived with array code.
+    """
+    n, q = csp.n, csp.q
+    constraints = csp.constraints
+    count = len(constraints)
+    arities = np.fromiter((c.arity for c in constraints), dtype=np.int64, count=count)
+    total = int(arities.sum())
+    vertices = np.fromiter(
+        chain.from_iterable(c.scope for c in constraints), dtype=np.int64, count=total
+    )
+    owner = np.repeat(np.arange(count), arities)
+    offsets = np.cumsum(arities) - arities
+    position = np.arange(total) - offsets[owner]
+    # Row-major strides: position p of an arity-k scope strides q^(k-1-p).
+    strides = q ** (arities[owner] - 1 - position)
+    sizes = q**arities
+    starts = np.cumsum(sizes) - sizes
+    flat_raw = (
+        np.concatenate([c.table.ravel() for c in constraints])
+        if count
+        else np.zeros(0, dtype=float)
+    )
+    scope_matrix = vertex_incidence = None
+    if count:
+        scope_matrix = xp.csr(
+            sp.csr_matrix((strides, (owner, vertices)), shape=(count, n))
+        )
+        ones = np.ones(total, dtype=np.int32)
+        vertex_incidence = xp.csr(
+            sp.csr_matrix((ones, (vertices, owner)), shape=(n, count))
+        )
+    return Plan(
+        num_constraints=count,
+        arities=arities,
+        entry_offsets=offsets,
+        entry_constraint=owner,
+        entry_vertex=vertices,
+        entry_stride=strides,
+        table_starts=starts,
+        table_sizes=sizes,
+        table_starts_d=xp.asarray(starts),
+        flat_raw=flat_raw,
+        flat_raw_d=xp.asarray(flat_raw),
+        scope_matrix=scope_matrix,
+        vertex_incidence=vertex_incidence,
+        spin_arange=xp.arange(q),
+        mixing_rows=int((2**arities - 1).sum()),
+    )
+
+
+def _scope_entries_by_arity(scope: Plan):
+    """Yield ``(arity, constraints, entries)`` per distinct arity.
+
+    ``entries[i, p]`` is the entry index of position ``p`` in the scope of
+    constraint ``constraints[i]``.
+    """
+    for arity in np.unique(scope.arities):
+        members = np.flatnonzero(scope.arities == arity)
+        yield int(arity), members, scope.entry_offsets[members][:, None] + np.arange(arity)
+
+
+def _csp_heatbath_plan(csp: LocalCSP, scope: Plan, xp: ArrayBackend) -> Plan:
+    """Conflict-graph edge arrays plus the (constraint, stride) incidence.
+
+    The conflict graph joins every two co-scoped vertices; its edge
+    arrays drive the batched Luby step (ties lose on both sides, exactly
+    as LubyScheduler's strict local maxima).  The incidence CSR's slots of
+    vertex ``v`` enumerate the constraints containing ``v`` in index order
+    together with the stride of ``v``'s axis in each table.
+    """
+    n = csp.n
+    lows, highs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for arity, _, entries in _scope_entries_by_arity(scope):
+        first, second = np.triu_indices(arity, 1)
+        u = scope.entry_vertex[entries[:, first]].ravel()
+        v = scope.entry_vertex[entries[:, second]].ravel()
+        lows.append(np.minimum(u, v))
+        highs.append(np.maximum(u, v))
+    keys = np.unique(np.concatenate(lows) * n + np.concatenate(highs))
+    conflict_u, conflict_v = keys // n, keys % n
+    order = np.lexsort((scope.entry_constraint, scope.entry_vertex))
+    degrees = np.bincount(scope.entry_vertex, minlength=n).astype(np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    side_u = side_v = None
+    if conflict_u.size:
+        side_u, side_v = (xp.csr(side) for side in _side_matrices(conflict_u, conflict_v, n))
+    return Plan(
+        cu=conflict_u,
+        cv=conflict_v,
+        cu_d=xp.asarray(conflict_u),
+        cv_d=xp.asarray(conflict_v),
+        conflict_u=side_u,
+        conflict_v=side_v,
+        inc_degrees=degrees,
+        inc_degrees_d=xp.asarray(degrees),
+        inc_indptr_d=xp.asarray(indptr),
+        inc_constraint=xp.asarray(scope.entry_constraint[order]),
+        inc_stride=xp.asarray(scope.entry_stride[order]),
+    )
+
+
+def _csp_mixing_plan(csp: LocalCSP, scope: Plan, xp: ArrayBackend) -> Plan:
+    """The precompiled LocalMetropolis mixing filter (class docstring).
+
+    Row ``row_start[c] + mask - 1`` of the two stride matrices is the
+    mixing ``mask`` (``1 .. 2^k - 1``) of constraint ``c``: scope position
+    ``p`` reads the proposal where bit ``p`` of ``mask`` is set and the
+    current spin elsewhere.
+    """
+    if not scope.num_constraints:  # the step never filters
+        return Plan()
+    mask_sizes = 2**scope.arities - 1
+    row_start = np.cumsum(mask_sizes) - mask_sizes
+    rows, entries, reads = [], [], []
+    for arity, members, entry in _scope_entries_by_arity(scope):
+        masks = np.arange(1, 2**arity)
+        shape = (members.size, masks.size, arity)
+        row = (row_start[members][:, None] + masks - 1)[:, :, None]
+        rows.append(np.broadcast_to(row, shape).ravel())
+        entries.append(np.broadcast_to(entry[:, None, :], shape).ravel())
+        bits = ((masks[:, None] >> np.arange(arity)) & 1) == 1
+        reads.append(np.broadcast_to(bits, shape).ravel())
+    row, entry, read = (np.concatenate(parts) for parts in (rows, entries, reads))
+
+    def stride_matrix(select):
+        strides = scope.entry_stride[entry[select]]
+        vertices = scope.entry_vertex[entry[select]]
+        shape = (int(mask_sizes.sum()), csp.n)
+        return xp.csr(sp.csr_matrix((strides, (row[select], vertices)), shape=shape))
+
+    # f~_c = f_c / max f_c, the filter factor of every table entry.
+    maxima = np.maximum.reduceat(scope.flat_raw, scope.table_starts)
+    return Plan(
+        flat_norm=xp.asarray(scope.flat_raw / np.repeat(maxima, scope.table_sizes)),
+        # Segment sizes of the per-constraint mixing-row blocks (each is
+        # 2^arity - 1 >= 1, so every segment is non-empty).
+        mask_sizes=mask_sizes,
+        row_table_start=xp.asarray(np.repeat(scope.table_starts, mask_sizes)),
+        proposal_matrix=stride_matrix(read),
+        current_matrix=stride_matrix(~read),
+    )
+
+
 class _EnsembleCSPBase(EnsembleTrajectoryMixin):
     """Shared precompiled structure for the batched CSP chains.
 
@@ -1147,70 +1374,30 @@ class _EnsembleCSPBase(EnsembleTrajectoryMixin):
         self.replicas = int(replicas)
         self._dtype = _spin_dtype(self.q)
         self.rng = as_generator(seed)
-        self.xp = get_backend(backend)
-        self._build_scope_tables()
-        self._config = self.xp.asarray(self._initial_batch(initial))
-        self._spin_arange = self.xp.arange(self.q)
-        self._heatbath_ready = False
+        self.xp = xp = get_backend(backend)
+        self._plan = model_plan(csp, ("csp", xp.name), lambda: _csp_scope_plan(csp, xp))
+        self._config = xp.asarray(
+            _initial_spin_batch(
+                initial,
+                self.n,
+                self.q,
+                self.replicas,
+                self._dtype,
+                lambda: default_start(csp),
+            )
+        )
         self.steps_taken = 0
 
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    def _build_scope_tables(self) -> None:
-        """Flatten all constraint tables and precompile the scope strides."""
-        csp, n, xp = self.csp, self.n, self.xp
-        constraints = csp.constraints
-        self._num_constraints = len(constraints)
-        raw_parts: list[np.ndarray] = []
-        starts = np.zeros(self._num_constraints, dtype=np.int64)
-        self._strides: list[np.ndarray] = []
-        offset = 0
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[int] = []
-        for index, constraint in enumerate(constraints):
-            table = np.asarray(constraint.table, dtype=float).ravel()
-            starts[index] = offset
-            raw_parts.append(table)
-            offset += table.size
-            arity = constraint.arity
-            strides = self.q ** np.arange(arity - 1, -1, -1, dtype=np.int64)
-            self._strides.append(strides)
-            rows.extend([index] * arity)
-            cols.extend(constraint.scope)
-            data.extend(int(s) for s in strides)
-        self._table_starts = starts
-        self._table_starts_d = xp.asarray(starts)
-        flat_raw = (
-            np.concatenate(raw_parts) if raw_parts else np.zeros(0, dtype=float)
-        )
-        self._flat_raw = flat_raw
-        self._flat_raw_d = xp.asarray(flat_raw)
-        if self._num_constraints:
-            self._scope_matrix = xp.csr(
-                sp.csr_matrix(
-                    (np.asarray(data, dtype=np.int64), (rows, cols)),
-                    shape=(self._num_constraints, n),
-                )
-            )
-            ones = np.ones(len(rows), dtype=np.int32)
-            self._vertex_incidence = xp.csr(
-                sp.csr_matrix(
-                    (ones, (cols, rows)), shape=(n, self._num_constraints)
-                )
-            )
-        else:
-            self._scope_matrix = self._vertex_incidence = None
+    def _heatbath(self) -> Plan:
+        """The heat-bath plan (:func:`_csp_heatbath_plan`), built on first use.
 
-    def _initial_batch(self, initial) -> np.ndarray:
-        return _initial_spin_batch(
-            initial,
-            self.n,
-            self.q,
-            self.replicas,
-            self._dtype,
-            lambda: greedy_csp_config(self.csp),
+        :class:`EnsembleLubyGlauberCSP` needs it every step;
+        :class:`EnsembleLocalMetropolisCSP` only for the region-restricted
+        advance, so it otherwise never pays for it.
+        """
+        csp, scope, xp = self.csp, self._plan, self.xp
+        return model_plan(
+            csp, ("csp-heatbath", xp.name), lambda: _csp_heatbath_plan(csp, scope, xp)
         )
 
     # ------------------------------------------------------------------
@@ -1233,15 +1420,16 @@ class _EnsembleCSPBase(EnsembleTrajectoryMixin):
         inside the flattened table stack (relative to the constraint's
         table start).
         """
-        return self.xp.spmm_int(self._scope_matrix, batch)
+        return self.xp.spmm_int(self._plan.scope_matrix, batch)
 
     def feasible_mask(self) -> np.ndarray:
         """Boolean ``(R,)`` mask of replicas with positive total weight."""
-        if not self._num_constraints:
+        scope = self._plan
+        if not scope.num_constraints:
             return np.ones(self.replicas, dtype=bool)
         xp = self.xp
         flat = self._scope_flat_indices(self._config)
-        values = self._flat_raw_d[self._table_starts_d[:, None] + flat]
+        values = scope.flat_raw_d[scope.table_starts_d[:, None] + flat]
         return np.all(xp.to_numpy(values) > 0.0, axis=0)
 
     def is_feasible(self) -> bool:
@@ -1254,85 +1442,43 @@ class _EnsembleCSPBase(EnsembleTrajectoryMixin):
     # ------------------------------------------------------------------
     # heat-bath machinery (LubyGlauber step and region-restricted advance)
     # ------------------------------------------------------------------
-    def _ensure_heatbath_structures(self) -> None:
-        """Conflict-graph edge arrays plus the (constraint, stride) incidence.
-
-        Built eagerly by :class:`EnsembleLubyGlauberCSP` (its every step
-        needs them) and lazily by the region-restricted advance on
-        :class:`EnsembleLocalMetropolisCSP` (which otherwise never pays
-        for them).
-        """
-        if self._heatbath_ready:
-            return
-        xp, csp = self.xp, self.csp
-        # Conflict-graph edge arrays drive the batched Luby step; ties lose
-        # on both sides, exactly as LubyScheduler's strict local maxima.
-        self._cu, self._cv = sorted_edge_arrays(conflict_graph(csp))
-        self._conflict_m = len(self._cu)
-        self._cu_d = xp.asarray(self._cu)
-        self._cv_d = xp.asarray(self._cv)
-        if self._conflict_m:
-            side_u, side_v = _side_matrices(self._cu, self._cv, self.n)
-            self._conflict_u = xp.csr(side_u)
-            self._conflict_v = xp.csr(side_v)
-        else:
-            self._conflict_u = self._conflict_v = None
-        # Vertex -> (constraint, stride-of-vertex) incidence CSR: the slots
-        # of vertex v enumerate the constraints containing v together with
-        # the stride of v's axis in each table.
-        inc_constraint: list[int] = []
-        inc_stride: list[int] = []
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        for v in range(self.n):
-            for index in csp.incident[v]:
-                position = csp.constraints[index].scope.index(v)
-                inc_constraint.append(index)
-                inc_stride.append(int(self._strides[index][position]))
-            indptr[v + 1] = len(inc_constraint)
-        self._inc_indptr = indptr
-        self._inc_degrees = np.diff(indptr)
-        self._inc_indptr_d = xp.asarray(indptr)
-        self._inc_degrees_d = xp.asarray(self._inc_degrees)
-        self._inc_constraint = xp.asarray(np.asarray(inc_constraint, dtype=np.int64))
-        self._inc_stride = xp.asarray(np.asarray(inc_stride, dtype=np.int64))
-        self._heatbath_ready = True
-
     def _heatbath_update(self, v_idx, r_idx) -> None:
         """Heat-bath-resample the given (vertex, replica) pairs in place.
 
         The pairs must be strongly independent within each replica (no two
         share a constraint scope), so every co-scoped vertex is fixed
-        conditioning.  Requires :meth:`_ensure_heatbath_structures`.
+        conditioning.
         """
-        xp = self.xp
+        xp, scope = self.xp, self._plan
         pairs = int(v_idx.shape[0])
         if pairs == 0:  # pragma: no cover - Luby always selects someone
             return
         q = self.q
-        if self._num_constraints:
+        if scope.num_constraints:
+            plan = self._heatbath()
             config64 = xp.astype(self._config, np.int64)
             flat = self._scope_flat_indices(self._config)
             # Expand each selected pair to its constraint-incidence slots.
             # Selected vertices are strongly independent, so every co-scoped
             # vertex is unselected and its spin is fixed this round.
             pair_of_slot, slots = xp.expand_neighbour_slots(
-                v_idx, self._inc_degrees_d, self._inc_indptr_d
+                v_idx, plan.inc_degrees_d, plan.inc_indptr_d
             )
-            constraint = self._inc_constraint[slots]
-            stride = self._inc_stride[slots]
+            constraint = plan.inc_constraint[slots]
+            stride = plan.inc_stride[slots]
             r_slot = r_idx[pair_of_slot]
             current = config64[v_idx[pair_of_slot], r_slot]
             base = (
-                self._table_starts_d[constraint]
+                scope.table_starts_d[constraint]
                 + flat[constraint, r_slot]
                 - current * stride
             )
             # (slots, q) factor values for every candidate spin of the pair.
-            values = self._flat_raw_d[
-                base[:, None] + stride[:, None] * self._spin_arange
+            values = scope.flat_raw_d[
+                base[:, None] + stride[:, None] * scope.spin_arange
             ]
             weights = xp.segment_prod(
-                values, self._inc_degrees[xp.to_numpy(v_idx)]
+                values, plan.inc_degrees[xp.to_numpy(v_idx)]
             )
         else:
             weights = xp.ones((pairs, q))
@@ -1360,9 +1506,9 @@ class _EnsembleCSPBase(EnsembleTrajectoryMixin):
         """
         if steps < 0:
             raise ModelError(f"advance_region needs steps >= 0, got {steps}")
-        self._ensure_heatbath_structures()
+        plan = self._heatbath()
         selector = _RegionSelector(
-            self.xp, _as_region(region, self.n), self._cu, self._cv, self.n
+            self.xp, _as_region(region, self.n), plan.cu, plan.cv, self.n
         )
         for _ in range(steps):
             self._heatbath_update(*selector.select_pairs(self.rng, self.replicas))
@@ -1394,14 +1540,15 @@ class EnsembleLubyGlauberCSP(_EnsembleCSPBase):
     ) -> None:
         super().__init__(csp, replicas, initial=initial, seed=seed, backend=backend)
         # Every step Luby-selects on the conflict graph and heat-bath
-        # updates through the incidence CSRs — build them eagerly.
-        self._ensure_heatbath_structures()
+        # updates through the incidence CSR: build that plan eagerly.
+        self._heatbath()
 
     def _luby_select(self):
         """Per-replica Luby step on the conflict graph, ``(n, R)`` boolean."""
+        plan = self._heatbath()
         return _batched_luby_select(
-            self.xp, self.rng, self.n, self.replicas, self._cu_d, self._cv_d,
-            self._conflict_u, self._conflict_v,
+            self.xp, self.rng, self.n, self.replicas, plan.cu_d, plan.cv_d,
+            plan.conflict_u, plan.conflict_v,
         )
 
     def step(self) -> None:
@@ -1444,16 +1591,7 @@ class EnsembleLocalMetropolisCSP(_EnsembleCSPBase):
         backend: str | ArrayBackend | None = None,
     ) -> None:
         super().__init__(csp, replicas, initial=initial, seed=seed, backend=backend)
-        xp = self.xp
-        norm_parts = [
-            np.asarray(c.normalized_table(), dtype=float).ravel()
-            for c in csp.constraints
-        ]
-        flat_norm = (
-            np.concatenate(norm_parts) if norm_parts else np.zeros(0, dtype=float)
-        )
-        self._flat_norm = xp.asarray(flat_norm)
-        total_rows = sum(2**c.arity - 1 for c in csp.constraints)
+        total_rows = self._plan.mixing_rows
         if total_rows > self.MAX_MIXING_ROWS:
             raise StateSpaceTooLargeError(
                 f"LocalMetropolis mixing filter needs {total_rows} precompiled "
@@ -1461,77 +1599,34 @@ class EnsembleLocalMetropolisCSP(_EnsembleCSPBase):
                 f"{self.MAX_MIXING_ROWS} cap; use the sequential "
                 "LocalMetropolisCSP chain for very-high-arity CSPs"
             )
-        rows_p: list[int] = []
-        cols_p: list[int] = []
-        data_p: list[int] = []
-        rows_c: list[int] = []
-        cols_c: list[int] = []
-        data_c: list[int] = []
-        row_start: list[int] = []
-        mask_starts = np.zeros(max(self._num_constraints, 1), dtype=np.int64)
-        row = 0
-        for index, constraint in enumerate(csp.constraints):
-            mask_starts[index] = row
-            scope = constraint.scope
-            strides = self._strides[index]
-            for mask in range(1, 2**constraint.arity):
-                for position, vertex in enumerate(scope):
-                    if (mask >> position) & 1:
-                        rows_p.append(row)
-                        cols_p.append(vertex)
-                        data_p.append(int(strides[position]))
-                    else:
-                        rows_c.append(row)
-                        cols_c.append(vertex)
-                        data_c.append(int(strides[position]))
-                row_start.append(int(self._table_starts[index]))
-                row += 1
-        self._mask_rows = row
-        self._mask_starts = mask_starts[: self._num_constraints]
-        # Segment sizes of the per-constraint mixing-row blocks (each is
-        # 2^arity - 1 >= 1, so every segment is non-empty).
-        self._mask_sizes = np.diff(np.append(self._mask_starts, self._mask_rows))
-        self._row_table_start = xp.asarray(np.asarray(row_start, dtype=np.int64))
-        if self._num_constraints:
-            shape = (self._mask_rows, self.n)
-            self._proposal_matrix = xp.csr(
-                sp.csr_matrix(
-                    (np.asarray(data_p, dtype=np.int64), (rows_p, cols_p)),
-                    shape=shape,
-                )
-            )
-            self._current_matrix = xp.csr(
-                sp.csr_matrix(
-                    (np.asarray(data_c, dtype=np.int64), (rows_c, cols_c)),
-                    shape=shape,
-                )
-            )
-        else:
-            self._proposal_matrix = self._current_matrix = None
+        scope, xp = self._plan, self.xp
+        self._mixing = model_plan(
+            csp, ("csp-mixing", xp.name), lambda: _csp_mixing_plan(csp, scope, xp)
+        )
 
     def step(self) -> None:
         """Uniform proposals; batched 2^k - 1-factor filter; accept if clean."""
-        xp = self.xp
+        xp, scope, plan = self.xp, self._plan, self._mixing
         proposals = xp.uniform_spins(
             self.rng, self.q, (self.n, self.replicas), self._dtype
         )
-        if not self._num_constraints:
+        if not scope.num_constraints:
             self._config = proposals
             self.steps_taken += 1
             return
         # Flat table index of every (constraint, mixing) row: proposal spins
         # where the mixing reads the proposal, current spins elsewhere.
-        flat = xp.spmm_int(self._proposal_matrix, proposals) + xp.spmm_int(
-            self._current_matrix, self._config
+        flat = xp.spmm_int(plan.proposal_matrix, proposals) + xp.spmm_int(
+            plan.current_matrix, self._config
         )
-        factors = self._flat_norm[self._row_table_start[:, None] + flat]
-        pass_probability = xp.segment_prod(factors, self._mask_sizes)
+        factors = plan.flat_norm[plan.row_table_start[:, None] + flat]
+        pass_probability = xp.segment_prod(factors, plan.mask_sizes)
         # One shared coin per (constraint, replica): u < p is almost surely
         # true at p = 1 and never true at p = 0, so the deterministic
         # branches of the sequential chain need no special-casing.
-        coins = xp.random(self.rng, (self._num_constraints, self.replicas))
+        coins = xp.random(self.rng, (scope.num_constraints, self.replicas))
         failed = coins >= pass_probability
-        blocked = xp.spmm_count(self._vertex_incidence, failed) > 0
+        blocked = xp.spmm_count(scope.vertex_incidence, failed) > 0
         if _obs_metrics.enabled:
             _record_metropolis_step(self, blocked)
         self._config = xp.where(blocked, self._config, proposals)

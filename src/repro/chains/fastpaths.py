@@ -22,6 +22,7 @@ same per-round invariants).
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 
 import networkx as nx
 import numpy as np
@@ -42,11 +43,11 @@ __all__ = [
 
 def sorted_edge_arrays(graph: nx.Graph) -> tuple[np.ndarray, np.ndarray]:
     """Return the edge endpoints as two sorted int64 arrays (u < v per edge)."""
-    edges = np.array(sorted((min(u, v), max(u, v)) for u, v in graph.edges()))
-    if edges.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy()
-    return edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
+    m = graph.number_of_edges()
+    flat = np.fromiter(chain.from_iterable(graph.edges()), dtype=np.int64, count=2 * m)
+    edges = np.sort(flat.reshape(m, 2), axis=1)
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    return edges[order, 0], edges[order, 1]
 
 
 def build_csr_neighbours(

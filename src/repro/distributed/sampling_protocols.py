@@ -37,7 +37,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.chains.base import SeedLike, as_seed_sequence, greedy_feasible_config
+from repro.chains.base import SeedLike, as_seed_sequence
+from repro.chains.ensemble import default_start
 from repro.chains.glauber import sample_spin
 from repro.chains.sampling import inverse_cdf_spin
 from repro.errors import ProtocolError
@@ -205,7 +206,7 @@ def _run_sampling_protocol(
     if engine not in _ENGINES:
         raise ProtocolError(f"unknown engine {engine!r}; choose from {_ENGINES}")
     if initial is None:
-        initial = greedy_feasible_config(mrf)
+        initial = default_start(mrf)
     if engine == "reference":
         outputs, stats = run_protocol(
             protocol,

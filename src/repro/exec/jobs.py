@@ -385,6 +385,20 @@ class JobRunner:
             pid: active for pid, active in self._active.items() if active != job_id
         }
 
+    def release(self, job_id: int) -> None:
+        """Forget a settled job: drop its spec, result, error and elapsed time.
+
+        For a long-lived caller that takes each job's outcome from its
+        final event (the :mod:`repro.serve` daemon does), so the runner's
+        bookkeeping stays bounded by the jobs in flight.  A job that is
+        still pending is left alone.
+        """
+        with self._lock:
+            if job_id in self._pending:
+                return
+            for table in (self._jobs, self.results, self.errors, self.elapsed):
+                table.pop(job_id, None)
+
     def run(self) -> dict[int, object]:
         """Drain the stream; return ``{job_id: result}`` or raise on failure."""
         for _ in self.stream():

@@ -250,6 +250,11 @@ class ReproServer:
                 return
             if event is None:
                 continue
+            if event.kind in ("result", "error"):
+                # The event carries the outcome, so the runner need not
+                # keep it; releasing before routing means no response can
+                # leave while the runner still holds the job.
+                self._runner.release(event.job_id)
             loop = self._loop
             if loop is None or loop.is_closed():
                 return

@@ -373,6 +373,23 @@ class TestJobs:
         assert doomed_result is None
         assert "ConvergenceError" in doomed_error
 
+    def test_release_forgets_settled_jobs_only(self):
+        model = proper_coloring_mrf(path_graph(3), 3)
+        doomed = SamplingJob.mixing_time(model, eps=1e-9, replicas=8,
+                                         max_rounds=3, seed=1, name="doomed")
+        with JobRunner(workers=1) as runner:
+            done_id = runner.submit(SamplingJob.sample_many(model, 4, rounds=2, seed=2))
+            doomed_id = runner.submit(doomed)
+            for _ in runner.stream():
+                pass
+            pending_id = runner.submit(SamplingJob.sample_many(model, 4, rounds=2, seed=3))
+            for job_id in (done_id, doomed_id, pending_id):
+                runner.release(job_id)
+            assert done_id not in runner.results and doomed_id not in runner.errors
+            assert pending_id in runner._jobs
+            # Released jobs are gone from run()'s view; the pending one completes.
+            assert list(runner.run()) == [pending_id]
+
     def test_dead_worker_fails_only_its_job(self):
         """A worker killed mid-job loses that job; the pool keeps serving."""
         model = proper_coloring_mrf(path_graph(3), 3)

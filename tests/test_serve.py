@@ -300,6 +300,16 @@ class TestLifecycle:
         with pytest.raises(ServeError):
             cli.health()
 
+    def test_server_holds_no_settled_jobs(self, small_coloring):
+        """The runner forgets each job once its final event reaches the server."""
+        with ReproServer(workers=1) as srv:
+            cli = ServeClient(*srv.address)
+            for seed in range(50):
+                spec = JobSpec.sample_many(small_coloring, 2, rounds=1, seed=seed)
+                assert cli.submit(spec)["cached"] is False
+            runner = srv._runner
+            assert not (runner._jobs or runner.results or runner.errors or runner.elapsed)
+
     def test_address_before_start_raises(self):
         srv = ReproServer(workers=1)
         with pytest.raises(ServeError, match="start"):
