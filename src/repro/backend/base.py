@@ -81,10 +81,6 @@ class ArrayBackend(ABC):
         """``x`` as a numpy ndarray (may share memory — copy to keep)."""
 
     @abstractmethod
-    def copy(self, a):
-        """A fresh mutable copy of ``a``."""
-
-    @abstractmethod
     def astype(self, a, dtype):
         """``a`` converted to the backend dtype for numpy token ``dtype``."""
 
@@ -140,14 +136,10 @@ class ArrayBackend(ABC):
         """``np.repeat``: element ``a[i]`` repeated ``repeats[i]`` times."""
 
     @abstractmethod
-    def bincount(self, x, minlength):
-        """Occurrence counts of the non-negative ints in ``x``."""
-
-    @abstractmethod
     def expand_neighbour_slots(self, vertices, degrees, indptr):
         """Per-vertex CSR slot expansion.
 
-        The batched-rejection primitive of
+        The CSR neighbour-gather primitive of
         :func:`repro.chains.fastpaths.expand_neighbour_slots`: returns
         ``(pair_of_slot, slots)`` with one entry per (vertex, neighbour)
         slot of ``vertices``.
@@ -194,8 +186,12 @@ class ArrayBackend(ABC):
         """Sum (bool inputs count as int)."""
 
     @abstractmethod
-    def cumsum(self, a, axis):
-        """Cumulative sum along ``axis``."""
+    def cumsum(self, a, axis, dtype=None):
+        """Cumulative sum along ``axis``, accumulated in numpy token ``dtype``.
+
+        ``None`` keeps the backend's default accumulator (float in, float
+        out); a narrow integer ``dtype`` keeps integer counts narrow.
+        """
 
     @abstractmethod
     def any(self, a) -> bool:

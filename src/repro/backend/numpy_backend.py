@@ -33,9 +33,6 @@ class NumpyBackend(ArrayBackend):
     def to_numpy(self, x):
         return np.asarray(x)
 
-    def copy(self, a):
-        return np.array(a)
-
     def astype(self, a, dtype):
         return np.asarray(a).astype(dtype)
 
@@ -80,9 +77,6 @@ class NumpyBackend(ArrayBackend):
     def repeat(self, a, repeats):
         return np.repeat(a, repeats)
 
-    def bincount(self, x, minlength):
-        return np.bincount(x, minlength=minlength)
-
     def expand_neighbour_slots(self, vertices, degrees, indptr):
         return _expand_slots(vertices, degrees, indptr)
 
@@ -110,8 +104,17 @@ class NumpyBackend(ArrayBackend):
     def sum(self, a, axis=None):
         return np.sum(a, axis=axis)
 
-    def cumsum(self, a, axis):
-        return np.cumsum(a, axis=axis)
+    def cumsum(self, a, axis, dtype=None):
+        if axis == 0 and a.ndim == 2 and 0 < 16 * a.shape[0] <= a.shape[1]:
+            # np.cumsum over a short leading axis runs one tiny accumulate
+            # per column; adding whole rows is up to ~40x faster on a wide
+            # (q, pairs) table, with the same sums in the same order.
+            out = np.empty(a.shape, dtype=np.cumsum(a[:1], axis=0, dtype=dtype).dtype)
+            out[0] = a[0]
+            for row in range(1, a.shape[0]):
+                np.add(out[row - 1], a[row], out=out[row])
+            return out
+        return np.cumsum(a, axis=axis, dtype=dtype)
 
     def any(self, a) -> bool:
         return bool(np.any(a))

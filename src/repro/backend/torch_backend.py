@@ -112,9 +112,6 @@ class TorchBackend(ArrayBackend):
             return x.detach().cpu().numpy()
         return np.asarray(x)
 
-    def copy(self, a):
-        return a.clone()
-
     def astype(self, a, dtype):
         return a.to(self._torch_dtype(dtype))
 
@@ -159,9 +156,6 @@ class TorchBackend(ArrayBackend):
 
     def repeat(self, a, repeats):
         return self.torch.repeat_interleave(a, repeats)
-
-    def bincount(self, x, minlength):
-        return self.torch.bincount(x, minlength=minlength)
 
     def expand_neighbour_slots(self, vertices, degrees, indptr):
         torch = self.torch
@@ -210,8 +204,10 @@ class TorchBackend(ArrayBackend):
             a = a.to(self.torch.int64)
         return self.torch.sum(a) if axis is None else self.torch.sum(a, dim=axis)
 
-    def cumsum(self, a, axis):
-        return self.torch.cumsum(a, dim=axis)
+    def cumsum(self, a, axis, dtype=None):
+        if dtype is None:
+            return self.torch.cumsum(a, dim=axis)
+        return self.torch.cumsum(a, dim=axis, dtype=self._torch_dtype(dtype))
 
     def any(self, a) -> bool:
         return bool(a.any())

@@ -16,8 +16,8 @@ them with single whole-ensemble array operations:
 * :class:`EnsembleLubyGlauberColoring` — Algorithm 1 for proper
   q-colourings, with the per-vertex Python neighbour loop of the
   single-replica fast path replaced by CSR-style neighbour arrays, so the
-  rejection resampling of *all* pending (replica, vertex) pairs is one
-  vectorised pass per rejection round;
+  heat-bath draw of *all* selected (replica, vertex) pairs — uniform over
+  the available colours — is one vectorised pass;
 * :class:`EnsembleGlauberDynamics` — batched single-site heat-bath Glauber
   for *general* pairwise MRFs (Ising, hardcore, ...), so ensembles are not
   colouring-only;
@@ -375,17 +375,19 @@ def _edge_arrays(model: MRF | nx.Graph) -> tuple[np.ndarray, np.ndarray]:
 def _edge_tables(mrf: MRF) -> tuple[np.ndarray, np.ndarray]:
     """The per-edge index into the deduplicated stack of edge activities ``A_e``.
 
-    ``mrf._edge_activity`` holds the tables in ``mrf.edges`` order, and a
-    homogeneous model (or a copy-on-write mutation of one) shares one
-    matrix object across its edges, so tables are deduplicated by
-    identity: each distinct object is stacked once, in order of first
-    use.  Returns ``(edge_table, stack)``; ``stack`` is ``(k, q, q)``,
-    empty for an edgeless model.  Built once per model and shared by the
-    colouring check of :func:`repro.api.make_ensemble` and the MRF plans.
+    The tables are read in ``mrf.edges`` order (the activity dict of a
+    copy-on-write mutation is not in that order).  A homogeneous model,
+    or a mutation of one, shares one matrix object across its edges, so
+    tables are deduplicated by identity: each distinct object is stacked
+    once, in order of first use.  Returns ``(edge_table, stack)``;
+    ``stack`` is ``(k, q, q)``, empty for an edgeless model.  Built once
+    per model and shared by the colouring check of
+    :func:`repro.api.make_ensemble`, the MRF plans and
+    :meth:`repro.dynamic.DynamicEnsemble.add_edge`.
     """
 
     def build():
-        tables = list(mrf._edge_activity.values())
+        tables = list(map(mrf._edge_activity.__getitem__, mrf.edges))
         if not tables:
             return frozen(np.zeros(0, dtype=np.int64)), frozen(np.zeros((0, mrf.q, mrf.q)))
         ids = np.fromiter(map(id, tables), dtype=np.uint64, count=len(tables))
@@ -484,10 +486,17 @@ def _batched_luby_select(
     return lose_counts == 0
 
 
-def _coloring_plan(model: nx.Graph | MRF, graph: nx.Graph, xp: ArrayBackend) -> Plan:
-    """The colouring kernels' plan: CSR neighbour arrays plus incidences."""
-    check_vertex_labels(graph)
-    n = graph.number_of_nodes()
+def _coloring_plan(model: nx.Graph | MRF, xp: ArrayBackend) -> Plan:
+    """The colouring kernels' plan: CSR neighbour arrays plus incidences.
+
+    An MRF's plan comes from its sorted edge list alone; its ``graph`` is
+    never read.
+    """
+    if isinstance(model, MRF):
+        n = model.n
+    else:
+        check_vertex_labels(model)
+        n = model.number_of_nodes()
     edge_u, edge_v = _edge_arrays(model)
     degrees, indptr, indices = build_csr_neighbours(edge_u, edge_v, n)
     return Plan(
@@ -499,9 +508,18 @@ def _coloring_plan(model: nx.Graph | MRF, graph: nx.Graph, xp: ArrayBackend) -> 
     )
 
 
-def _coloring_start(model: nx.Graph | MRF, graph: nx.Graph, q: int) -> np.ndarray:
-    """The first-fit greedy colouring start, cached per model and ``q``."""
-    return model_plan(model, ("start", q), lambda: frozen(greedy_coloring(graph, q)))
+def _coloring_start(model: nx.Graph | MRF, q: int) -> np.ndarray:
+    """The first-fit greedy colouring start, cached per model and ``q``.
+
+    The only read of an MRF's ``graph`` by the colouring engines, made
+    once per model and only when a start is needed.
+    """
+
+    def build():
+        graph = model.graph if isinstance(model, MRF) else model
+        return frozen(greedy_coloring(graph, q))
+
+    return model_plan(model, ("start", q), build)
 
 
 class _EnsembleColoringBase(EnsembleTrajectoryMixin):
@@ -540,19 +558,18 @@ class _EnsembleColoringBase(EnsembleTrajectoryMixin):
         backend: str | ArrayBackend | None = None,
     ) -> None:
         model = graph
-        graph = model.graph if isinstance(model, MRF) else model
         if q < 2:
             raise ModelError(f"colouring needs q >= 2, got {q}")
         if replicas < 1:
             raise ModelError(f"ensemble needs replicas >= 1, got {replicas}")
         self.q = int(q)
         self.replicas = int(replicas)
-        self.graph = graph
         self._dtype = _spin_dtype(self.q)
+        self._count_dtype = _spin_dtype(self.q + 1)  # colour counts 0..q
         self.rng = as_generator(seed)
         self.xp = get_backend(backend)
         self._plan = model_plan(
-            model, ("coloring", self.xp.name), lambda: _coloring_plan(model, graph, self.xp)
+            model, ("coloring", self.xp.name), lambda: _coloring_plan(model, self.xp)
         )
         self.n = self._plan.n
         self._config = self.xp.asarray(
@@ -562,7 +579,7 @@ class _EnsembleColoringBase(EnsembleTrajectoryMixin):
                 self.q,
                 self.replicas,
                 self._dtype,
-                lambda: _coloring_start(model, graph, self.q),
+                lambda: _coloring_start(model, self.q),
                 noun="colours",
             )
         )
@@ -608,56 +625,61 @@ class _EnsembleColoringBase(EnsembleTrajectoryMixin):
         """Heat-bath-resample the given (vertex, replica) pairs in place.
 
         The pairs must form an independent set within each replica (their
-        neighbours' colours are read as fixed).  Uniform-available-colour
-        rejection sampling *is* the heat-bath conditional for proper
-        colourings, so this is the shared update kernel of the LubyGlauber
-        step and the region-restricted advance.
+        neighbours' colours are read as fixed).  The heat-bath conditional
+        of a proper colouring is uniform over the available colours, so
+        one pass draws it exactly: gather the neighbour colours, mark them
+        in a spin-axis-first ``(q, pairs)`` table, count the available
+        colours cumulatively in the narrowest dtype that holds ``q``, and
+        take available colour number ``floor(u * count)`` for one uniform
+        ``u`` in ``[0, 1)`` per pair.  For ``u < 1`` the float64 product
+        rounds below ``count`` (rounding is monotone, and the largest
+        double below 1 times an integer below ``2**53`` rounds down), so
+        the draw is always an available colour: never a neighbour's
+        colour and never a value ``>= q``.  The shared update kernel of
+        the LubyGlauber step and the region-restricted advance.
+
+        Raises :class:`~repro.errors.ModelError` if some pair has no
+        available colour (possible only when ``q <= Delta``).
         """
-        xp, plan = self.xp, self._plan
-        result = xp.copy(self._config)
-        guard = 0
-        while int(v_idx.shape[0]):
-            pending = int(v_idx.shape[0])
-            draws = xp.uniform_spins(self.rng, self.q, pending, self._dtype)
-            if plan.m:
-                # Expand each pending pair to its CSR neighbour slots.  The
-                # neighbours of a selected vertex are unselected (Luby step),
-                # so their colours are fixed for the whole resampling pass.
-                pair_of_slot, slots = xp.expand_neighbour_slots(
-                    v_idx, plan.degrees_d, plan.indptr_d
-                )
-                neighbour_spins = self._config[
-                    plan.csr_indices_d[slots],
-                    xp.repeat(r_idx, plan.degrees_d[v_idx]),
-                ]
-                hits = neighbour_spins == draws[pair_of_slot]
-                conflict = xp.bincount(pair_of_slot[hits], minlength=pending) > 0
-            else:
-                conflict = xp.zeros(pending, dtype=bool)
-            ok = ~conflict
-            result[v_idx[ok], r_idx[ok]] = draws[ok]
-            # Carry only the conflicted pairs into the next rejection round —
-            # the work per round decays geometrically with the pending set.
-            v_idx, r_idx = v_idx[conflict], r_idx[conflict]
-            guard += 1
-            if guard > 200 * self.q:
-                raise ModelError(
-                    "rejection sampling stalled: some vertex has no available "
-                    "colour (needs q >= Delta + 1)"
-                )
-        self._config = result
+        xp, plan, q = self.xp, self._plan, self.q
+        pairs = int(v_idx.shape[0])
+        forbidden = xp.zeros((q, pairs), dtype=bool)
+        if plan.m:
+            pair_of_slot, slots = xp.expand_neighbour_slots(
+                v_idx, plan.degrees_d, plan.indptr_d
+            )
+            neighbour_spins = self._config[
+                plan.csr_indices_d[slots],
+                xp.repeat(r_idx, plan.degrees_d[v_idx]),
+            ]
+            forbidden[xp.astype(neighbour_spins, np.int64), pair_of_slot] = True
+        available = xp.cumsum(~forbidden, axis=0, dtype=self._count_dtype)
+        count = available[-1]
+        empty = count == 0
+        if xp.any(empty):
+            bad = int(v_idx[xp.argmax(empty)])
+            raise ModelError(
+                f"no available colour at vertex {bad}: its neighbours use all "
+                f"{q} colours (needs q >= Delta + 1)"
+            )
+        rank = xp.astype(xp.random(self.rng, pairs) * count, self._count_dtype)
+        spins = xp.sum(available <= rank, axis=0)
+        self._config[v_idx, r_idx] = xp.astype(spins, self._dtype)
 
     def advance_region(self, steps: int, region) -> _EnsembleColoringBase:
         """Advance only ``region`` for ``steps`` rounds, boundary clamped.
 
         Every round Luby-selects an independent set among the region
-        vertices (over region-internal edges only) and heat-bath-resamples
-        it; vertices outside the region never change, and their colours
-        enter the update as fixed boundary conditions through the full CSR
-        neighbour gathers.  Used by :mod:`repro.dynamic` for incremental
-        resampling after a graph mutation.  Note the kernel is the
-        heat-bath (LubyGlauber) one for *both* colouring engines — a
-        clamped LocalMetropolis round has no stationarity guarantee.
+        vertices (over region-internal edges only) and draws each selected
+        pair a uniform available colour in one pass
+        (:meth:`_resample_pairs`), written in place, so a round costs
+        O(|S|·R), not a copy of the whole batch.  Vertices outside the
+        region never change, and their colours enter the update as fixed
+        boundary conditions through the full CSR neighbour gathers.  Used
+        by :mod:`repro.dynamic` for incremental resampling after a graph
+        mutation.  Note the kernel is the heat-bath (LubyGlauber) one for
+        *both* colouring engines — a clamped LocalMetropolis round has no
+        stationarity guarantee.
         """
         if steps < 0:
             raise ModelError(f"advance_region needs steps >= 0, got {steps}")
@@ -706,12 +728,12 @@ class EnsembleLubyGlauberColoring(_EnsembleColoringBase):
 
     One step advances all R replicas by one LubyGlauber round: each replica
     draws its own Luby independent set, then every selected (replica,
-    vertex) pair resamples a uniform *available* colour by vectorised
-    rejection.  The rejection pass checks every pending pair against its
-    neighbours' current colours through flat CSR neighbour arrays — one
-    gather + one segmented reduction per rejection round, no per-vertex
-    Python loop — and the amount of work decays geometrically as pairs
-    accept.
+    vertex) pair draws a uniform *available* colour — the exact heat-bath
+    conditional of a proper colouring — in one vectorised pass: one CSR
+    gather of the neighbours' current colours, one scatter into a
+    ``(q, pairs)`` table of forbidden colours, a cumulative count of the
+    available ones and one uniform per pair, with no per-vertex Python
+    loop and no rejection rounds (:meth:`_resample_pairs`).
     """
 
     def _luby_select(self):
@@ -1090,7 +1112,7 @@ class EnsembleLubyGlauberMRF(_EnsemblePairwiseMRFBase):
     """Batched Algorithm 1 (LubyGlauber) for *general* pairwise MRFs.
 
     The general-model sibling of :class:`EnsembleLubyGlauberColoring`:
-    where the colouring engine rejection-samples uniform available
+    where the colouring engine draws uniformly among the available
     colours, this engine heat-bath-resamples every selected (replica,
     vertex) pair from its exact conditional marginal (paper eq. (2)), so
     it covers hardcore, Ising and *list-colouring* models — any pairwise

@@ -75,7 +75,8 @@ def expand_neighbour_slots(
 
     Returns ``(pair_of_slot, slots)``: entry ``k`` of a per-slot array
     belongs to ``vertices[pair_of_slot[k]]`` and addresses neighbour
-    ``indices[slots[k]]``.  The core of the vectorised rejection resample.
+    ``indices[slots[k]]``.  The neighbour gather of the vectorised colour
+    resamples (rejection here, the one-pass heat-bath of the ensembles).
     """
     deg = degrees[vertices]
     pair_of_slot = np.repeat(np.arange(vertices.size), deg)

@@ -30,6 +30,7 @@ import numpy as np
 from repro.api import default_round_budget, make_ensemble
 from repro.backend import ArrayBackend
 from repro.chains.base import SeedLike, as_generator
+from repro.chains.ensemble import _edge_tables
 from repro.csp.model import Constraint, LocalCSP
 from repro.dynamic.region import influenced_region, region_round_budget
 from repro.errors import ModelError
@@ -238,12 +239,12 @@ class DynamicEnsemble:
             raise ModelError(
                 "add_edge on an edgeless model needs an explicit activity matrix"
             )
+        # The deduplicated table stack is cached per model (the engine
+        # build already made it), so this compares a few distinct tables
+        # instead of scanning every edge.
+        _, stack = _edge_tables(model)
         first = model.edge_activity(*model.edges[0])
-        if any(
-            model.edge_activity(u, v) is not first
-            and not np.array_equal(model.edge_activity(u, v), first)
-            for u, v in model.edges[1:]
-        ):
+        if any(not np.array_equal(table, first) for table in stack):
             raise ModelError(
                 "model has heterogeneous edge activities; pass the new "
                 "edge's activity matrix explicitly"

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.api import _BUDGET_CONSTANT, METHODS, model_degree
 from repro.chains.glauber import sample_spin
-from repro.csp.hypergraph import csp_neighbors
 from repro.csp.model import LocalCSP
 from repro.errors import ModelError
 from repro.mrf.marginals import conditional_marginal
@@ -40,11 +39,11 @@ __all__ = [
 ]
 
 
-def _adjacency(model: MRF | LocalCSP) -> list[set[int]]:
-    """Neighbour sets of a model: graph adjacency (MRF) or co-scope (CSP)."""
+def _neighbours(model: MRF | LocalCSP, v: int) -> Iterable[int]:
+    """Γ(v): graph neighbours (MRF) or co-scoped vertices and ``v`` (CSP)."""
     if isinstance(model, LocalCSP):
-        return csp_neighbors(model)
-    return [set(model.neighbors(v)) for v in range(model.n)]
+        return {u for index in model.incident[v] for u in model.constraints[index].scope}
+    return model.neighbors(v)
 
 
 def influenced_region(
@@ -59,8 +58,10 @@ def influenced_region(
     endpoints of an added/removed edge, the scope of an added/removed
     constraint).  The ball is grown over the union of the old and new
     neighbourhood structures, so both an insertion's new couplings and a
-    deletion's former couplings are covered.  Returns a sorted int64
-    vertex array; radius 0 is the touched set itself.
+    deletion's former couplings are covered.  Each step looks up the
+    frontier's own neighbourhoods only, so the cost is the size of the
+    ball, not of the model.  Returns a sorted int64 vertex array; radius
+    0 is the touched set itself.
     """
     if old_model.n != new_model.n:
         raise ModelError(
@@ -75,14 +76,13 @@ def influenced_region(
         raise ModelError("a mutation must touch at least one vertex")
     if any(v < 0 or v >= n for v in frontier):
         raise ModelError(f"touched vertices must lie in 0..{n - 1}")
-    old_adj = _adjacency(old_model)
-    new_adj = _adjacency(new_model)
     region = set(frontier)
     for _ in range(radius):
         frontier = {
             u
             for v in frontier
-            for u in old_adj[v] | new_adj[v]
+            for model in (old_model, new_model)
+            for u in _neighbours(model, v)
             if u not in region
         }
         if not frontier:

@@ -16,6 +16,7 @@ and the Gibbs distribution is ``mu(sigma) = w(sigma) / Z``.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections.abc import Iterable, Mapping, Sequence
 
 import networkx as nx
@@ -35,6 +36,16 @@ Config = tuple[int, ...]
 def as_config(values: Iterable[int]) -> Config:
     """Coerce an iterable of spins (e.g. a numpy array) into a :data:`Config`."""
     return tuple(int(x) for x in values)
+
+
+def _frozen_vertex_table(table: np.ndarray) -> np.ndarray:
+    """Check an ``(n, q)`` vertex-activity table and make it read-only."""
+    if np.any(table < 0):
+        raise ModelError("vertex activities must be non-negative")
+    if np.any(np.all(table == 0, axis=1)):
+        raise ModelError("every vertex needs at least one positive activity")
+    table.setflags(write=False)
+    return table
 
 
 class MRF:
@@ -68,7 +79,7 @@ class MRF:
         check_vertex_labels(graph)
         if q < 2:
             raise ModelError(f"MRF needs q >= 2 spin states, got {q}")
-        self.graph = graph
+        self._graph = graph
         self.q = int(q)
         self.n = graph.number_of_nodes()
         self.name = name
@@ -79,6 +90,7 @@ class MRF:
         self._neighbors: list[tuple[int, ...]] = [
             tuple(sorted(graph.neighbors(v))) for v in range(self.n)
         ]
+        self._max_degree: int | None = None
         self._edge_activity = self._build_edge_activities(edge_activities)
         self.vertex_activity = self._build_vertex_activities(vertex_activities)
 
@@ -90,9 +102,9 @@ class MRF:
     ) -> dict[tuple[int, int], np.ndarray]:
         activities: dict[tuple[int, int], np.ndarray] = {}
         if isinstance(spec, Mapping):
-            # Frozen matrices are shared by identity across edges (the
-            # copy-on-write mutation path maps every edge to one frozen
-            # table), so each distinct object is validated exactly once.
+            # Frozen matrices are shared by identity across edges (another
+            # model's tables passed back in, say), so each distinct object
+            # is validated exactly once.
             checked: dict[int, np.ndarray] = {}
             for edge in self.edges:
                 u, v = edge
@@ -144,8 +156,8 @@ class MRF:
             and spec.shape == (self.n, self.q)
             and not spec.flags.writeable
         ):
-            # Copy-on-write fast path: share a frozen (n, q) table instead
-            # of copying it; the validity checks below still run.
+            # Share a frozen (n, q) table (another model's) instead of
+            # copying it; the validity checks still run.
             table = spec
         else:
             table = np.empty((self.n, self.q), dtype=float)
@@ -165,16 +177,26 @@ class MRF:
                         f"vertex activities must have shape ({self.q},) or "
                         f"({self.n}, {self.q}), got {arr.shape}"
                     )
-        if np.any(table < 0):
-            raise ModelError("vertex activities must be non-negative")
-        if np.any(np.all(table == 0, axis=1)):
-            raise ModelError("every vertex needs at least one positive activity")
-        table.setflags(write=False)
-        return table
+        return _frozen_vertex_table(table)
 
     # ------------------------------------------------------------------
     # basic accessors
     # ------------------------------------------------------------------
+    @property
+    def graph(self) -> nx.Graph:
+        """The underlying ``networkx`` graph.
+
+        A model derived by a copy-on-write mutation builds it from
+        :attr:`edges` on first read: the samplers work from :attr:`edges`
+        and :meth:`neighbors` and never need it.
+        """
+        if self._graph is None:
+            graph = nx.Graph()
+            graph.add_nodes_from(range(self.n))
+            graph.add_edges_from(self.edges)
+            self._graph = graph
+        return self._graph
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Return the sorted neighbourhood Γ(v)."""
         return self._neighbors[v]
@@ -186,9 +208,9 @@ class MRF:
     @property
     def max_degree(self) -> int:
         """Return the maximum degree Δ of the underlying graph."""
-        if self.n == 0:
-            return 0
-        return max(len(nbrs) for nbrs in self._neighbors)
+        if self._max_degree is None:
+            self._max_degree = max(map(len, self._neighbors), default=0)
+        return self._max_degree
 
     def edge_activity(self, u: int, v: int) -> np.ndarray:
         """Return ``A_{uv}`` (symmetric, so orientation is irrelevant)."""
@@ -254,23 +276,36 @@ class MRF:
     # ------------------------------------------------------------------
     # copy-on-write mutation
     # ------------------------------------------------------------------
-    def _replace(
+    def _derive(
         self,
-        edge_activities: Mapping[tuple[int, int], np.ndarray],
-        vertex_activities: np.ndarray,
+        edges: list[tuple[int, int]],
+        neighbors: list[tuple[int, ...]],
+        edge_activity: dict[tuple[int, int], np.ndarray],
+        vertex_activity: np.ndarray,
     ) -> MRF:
-        """Build a sibling MRF sharing the (read-only) activity arrays."""
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.n))
-        graph.add_edges_from(edge_activities.keys())
-        return MRF(graph, self.q, edge_activities, vertex_activities, name=self.name)
+        """A sibling MRF from already-checked parts, without revalidation.
+
+        The parts may share read-only tables with ``self``; ``graph`` and
+        ``max_degree`` are computed on first read.
+        """
+        sibling = object.__new__(type(self))
+        sibling._graph = None
+        sibling.q, sibling.n, sibling.name = self.q, self.n, self.name
+        sibling.edges = edges
+        sibling._neighbors = neighbors
+        sibling._max_degree = None
+        sibling._edge_activity = edge_activity
+        sibling.vertex_activity = vertex_activity
+        return sibling
 
     def with_edge(self, u: int, v: int, activity: np.ndarray) -> MRF:
         """Return a copy with edge ``{u, v}`` added (or its activity replaced).
 
-        Copy-on-write: the untouched per-edge and per-vertex activity
-        tables are shared with ``self`` (they are read-only), so the cost
-        is O(n + m) bookkeeping, not a model rebuild.  The derived model's
+        Copy-on-write in O(Δ) Python work: only the two endpoints'
+        neighbour tuples are rebuilt and the edge is bisected into the
+        sorted edge list, while the per-edge and per-vertex activity
+        tables are shared with ``self`` (they are read-only) and the
+        ``networkx`` graph is built only if read.  The derived model's
         :meth:`model_fingerprint` reflects the mutation automatically
         because fingerprints are computed from content on demand.
         """
@@ -280,20 +315,35 @@ class MRF:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ModelError(f"edge ({u}, {v}) outside vertices 0..{self.n - 1}")
         key = (min(u, v), max(u, v))
+        matrix = self._check_edge_matrix(np.asarray(activity, dtype=float), key)
         activities = dict(self._edge_activity)
-        activities[key] = self._check_edge_matrix(
-            np.asarray(activity, dtype=float), key
-        )
-        return self._replace(activities, self.vertex_activity)
+        activities[key] = matrix
+        if key in self._edge_activity:  # same graph, new factor
+            return self._derive(
+                list(self.edges), list(self._neighbors), activities, self.vertex_activity
+            )
+        edges = list(self.edges)
+        insort(edges, key)
+        neighbors = list(self._neighbors)
+        for a, b in (key, key[::-1]):
+            row = list(neighbors[a])
+            insort(row, b)
+            neighbors[a] = tuple(row)
+        return self._derive(edges, neighbors, activities, self.vertex_activity)
 
     def without_edge(self, u: int, v: int) -> MRF:
-        """Return a copy with edge ``{u, v}`` removed (copy-on-write)."""
+        """Return a copy with edge ``{u, v}`` removed (copy-on-write, O(Δ))."""
         key = (min(int(u), int(v)), max(int(u), int(v)))
         if key not in self._edge_activity:
             raise ModelError(f"({u}, {v}) is not an edge of the MRF graph")
         activities = dict(self._edge_activity)
         del activities[key]
-        return self._replace(activities, self.vertex_activity)
+        edges = list(self.edges)
+        del edges[bisect_left(edges, key)]
+        neighbors = list(self._neighbors)
+        for a, b in (key, key[::-1]):
+            neighbors[a] = tuple(w for w in neighbors[a] if w != b)
+        return self._derive(edges, neighbors, activities, self.vertex_activity)
 
     def with_edge_activity(self, u: int, v: int, activity: np.ndarray) -> MRF:
         """Return a copy with the factor on existing edge ``{u, v}`` replaced."""
@@ -309,7 +359,10 @@ class MRF:
             raise ModelError(f"vertex {v} outside 0..{self.n - 1}")
         table = np.array(self.vertex_activity, dtype=float)
         table[v] = np.asarray(activity, dtype=float)
-        return self._replace(self._edge_activity, table)
+        return self._derive(
+            list(self.edges), list(self._neighbors), dict(self._edge_activity),
+            _frozen_vertex_table(table),
+        )
 
     # ------------------------------------------------------------------
     # canonical serialization
@@ -318,8 +371,8 @@ class MRF:
         """Canonical plain-JSON form: sorted edges, dtype-normalized tables.
 
         The payload depends only on the model's mathematical content (the
-        constructor already sorts ``edges`` canonically and coerces every
-        activity to float64), never on how the instance was built — two
+        constructor and every mutation keep ``edges`` sorted canonically,
+        and every activity is float64), never on how the instance was built — two
         equal models serialise to equal payloads.  Inverse:
         :meth:`from_dict`.
         """

@@ -187,6 +187,41 @@ def test_edge_tables_index_each_edge_to_its_own_matrix():
         np.testing.assert_array_equal(stack[index], mrf.edge_activity(u, v))
 
 
+@pytest.mark.parametrize("method", ["local-metropolis", "luby-glauber", "glauber"])
+def test_mutated_edge_tables_follow_the_edge_order(method):
+    # A copy-on-write sibling appends the new edge to its activity dict, so
+    # the dict is not in ``edges`` order; a distinct table on an edge in the
+    # middle of the sort order must still reach that edge and no other.
+    model = ising_mrf(grid_graph(4, 4), beta=0.8, field=0.3)
+    distinct = np.array([[0.5, 2.0], [2.0, 0.25]])
+    mutated = model.without_edge(5, 6).with_edge(5, 6, distinct)
+    assert 0 < mutated.edges.index((5, 6)) < len(mutated.edges) - 1
+    assert list(mutated._edge_activity)[-1] == (5, 6)
+    scratch = MRF.from_dict(mutated.to_dict())
+    edge_table, stack = _edge_tables(mutated)
+    for index, (u, v) in zip(edge_table, mutated.edges):
+        np.testing.assert_array_equal(stack[index], mutated.edge_activity(u, v))
+        np.testing.assert_array_equal(stack[index], scratch.edge_activity(u, v))
+    plan = make_ensemble(mutated, REPLICAS, method=method, seed=1)._plan
+    if method == "glauber":
+        slots = [
+            (v, int(u), int(table))
+            for v in range(mutated.n)
+            for u, table in zip(plan.neighbour_pad_d[v], plan.activity_index_d[v])
+            if u >= 0
+        ]
+    else:
+        slots = [
+            (v, int(plan.csr_indices_d[s]), int(plan.slot_table_d[s]))
+            for v in range(mutated.n)
+            for s in range(plan.indptr_d[v], plan.indptr_d[v + 1])
+        ]
+    assert len(slots) == 2 * len(mutated.edges)
+    for v, u, table in slots:
+        np.testing.assert_array_equal(plan.activities[table], mutated.edge_activity(u, v))
+        np.testing.assert_array_equal(plan.activities[table], scratch.edge_activity(u, v))
+
+
 def _mixed_arity_csp():
     rng = np.random.default_rng(3)
     scopes = [(0, 1, 2), (2, 5), (3,), (4, 6, 7, 1), (5, 0, 3)]

@@ -146,9 +146,9 @@ class TestVectorizedOutputs:
         # A 2-colouring path whose middle vertex sees both colours in its
         # neighbourhood: once the middle wins the Luby step (seed chosen so
         # it does in round 1), its conditional marginal is identically zero
-        # and the colouring kernel's rejection sampler cannot finish.
+        # and the colouring heat-bath has no available colour to draw.
         mrf = proper_coloring_mrf(path_graph(3), 2)
-        with pytest.raises(ModelError, match="rejection sampling stalled") as caught:
+        with pytest.raises(ModelError, match="no available colour") as caught:
             run_luby_glauber_protocol(
                 mrf,
                 rounds=1,
